@@ -1,0 +1,181 @@
+"""Golden trajectories: short seeded runs compared with pinned outputs.
+
+The determinism tests elsewhere compare two runs of the same code, so a
+refactor that drifts semantics passes them.  These cases compare against
+values stored in ``golden.json`` instead, at relative tolerance 1e-12 (with
+an absolute floor of 1e-12 times the largest pinned magnitude of the same
+output, for entries that are round-off zeros).  Every integrator, both tree
+modes, chain co-evolution, the volume pair and the linear batteries are
+covered; the whole file runs in well under a second.
+
+Re-pin only when a change of results is intended, and say why in the
+change log::
+
+    PYTHONPATH=src python tests/test_golden.py --update
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from phi4lattice.dynamics import BatchChain, SimConfig, run_chain
+from phi4lattice.lattice import Field, build_grid
+from phi4lattice.noise import NoiseStream, coarsen
+from phi4lattice.trees import evolve_trees, evolve_with_chain
+from phi4lattice.verify import (
+    coming_down_check,
+    convergence_study,
+    gaussian_covariance_battery,
+    volume_pair_seminorms,
+)
+
+GOLDEN = Path(__file__).with_name("golden.json")
+RTOL = 1e-12
+
+
+def _profile(grid, magnitude):
+    coords = grid.site_coords()
+    return Field(grid, magnitude * np.cos(2.0 * np.pi * np.sum(coords, axis=-1) / grid.L))
+
+
+def _run_chain(integrator, d):
+    cfg = SimConfig(d=d, N=3, dt=0.002, t_end=0.02, integrator=integrator, seed=11,
+                    beta=0.5, potential_n=3, burn_in=2, thinning=2)
+    res = run_chain(cfg, initial=_profile(cfg.grid(), 2.0))
+    return {
+        "final": res.final_state.field.values,
+        "pairing": res.pairing,
+        "V": res.v_obs,
+        "W": res.w_obs,
+        "c_alpha_norm": res.c_alpha_norm,
+    }
+
+
+def _batch_exact_gaussian():
+    cfg = SimConfig(d=2, N=2, dt=0.1, t_end=1.0, integrator="exact_gaussian",
+                    quadratic=True, seed=3)
+    batch = BatchChain(cfg, 3, stationary_start=True)
+    start = batch.values.copy()
+    batch.advance(4)
+    return {"start": start, "final": batch.values, "pairings": batch.pairings()}
+
+
+def _ensemble(ens):
+    out = {f"tree{k}": v for k, v in ens.stored.items()}
+    out["times"] = ens.times
+    return out
+
+
+def _trees_imex():
+    ens = evolve_trees(build_grid(1, 1.0, 3), dt=0.05, n_steps=6, seed=5, store_every=2,
+                       noise_amplitude=0.7)
+    return _ensemble(ens)
+
+
+def _trees_exact():
+    ens = evolve_trees(build_grid(2, 1.0, 2), dt=0.05, n_steps=6, seed=6, mode="exact",
+                       store_every=3, noise_amplitude=0.7)
+    return _ensemble(ens)
+
+
+def _trees_initial():
+    g = build_grid(1, 1.0, 3)
+    ens = evolve_trees(g, dt=0.05, n_steps=4, seed=7, store_every=1,
+                       initial_tree1=_profile(g, 1.5).values)
+    return _ensemble(ens)
+
+
+def _with_chain():
+    cfg = SimConfig(d=1, N=3, dt=0.01, t_end=0.06, integrator="split", seed=2,
+                    beta=0.5, potential_n=3)
+    ens, u_stored = evolve_with_chain(cfg, _profile(cfg.grid(), 10.0), store_every=2,
+                                      noise_amplitude=0.8)
+    out = _ensemble(ens)
+    out["u"] = u_stored
+    return out
+
+
+def _volume_pair():
+    res = volume_pair_seminorms(4, d=2, N=3, dt=0.02)
+    return {f"{tag}[{tau}]": v for tag, rep in res.items() for tau, v in rep.values.items()}
+
+
+def _coming_down():
+    res = coming_down_check(d=1, L=1.0, N=3, dt=0.01, t_snapshot=0.1,
+                            magnitudes=(1.0, 1e3, 1e6), seed=6)
+    return {f"norm[{m:g}]": v for m, v in res["norms"].items()}
+
+
+def _convergence():
+    rep = convergence_study(levels=(2, 3), n_ref=4, dt=0.002, t_end=0.04, seed=1,
+                            record_every=4)
+    out = {f"sup[{n}]": v for n, v in rep.sup_proxy_distance.items()}
+    out.update({f"rms[{n}]": v for n, v in rep.rms_observable_distance.items()})
+    return out
+
+
+def _covariance():
+    res = gaussian_covariance_battery(d=2, N=2, n_chains=4, n_records=5, dt=0.5, seed=9)
+    return {k: res[k] for k in ("z", "orbit_mean", "orbit_target", "ess")}
+
+
+def _coarsen():
+    inc = NoiseStream(3, build_grid(2, 1.0, 4)).draw(0.01)
+    return {f"levels{k}": coarsen(inc, levels=k).values for k in (1, 2)}
+
+
+CASES = {
+    **{f"run_chain_{i}_d{d}": (lambda i=i, d=d: _run_chain(i, d))
+       for i in ("imex", "split", "explicit") for d in (1, 2)},
+    "batch_exact_gaussian": _batch_exact_gaussian,
+    "trees_imex": _trees_imex,
+    "trees_exact": _trees_exact,
+    "trees_initial": _trees_initial,
+    "evolve_with_chain": _with_chain,
+    "volume_pair": _volume_pair,
+    "coming_down": _coming_down,
+    "convergence": _convergence,
+    "covariance": _covariance,
+    "coarsen": _coarsen,
+}
+
+
+def _as_lists(outputs: dict) -> dict:
+    return {k: np.asarray(v, dtype=float).tolist() for k, v in outputs.items()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden(case, golden):
+    got = CASES[case]()
+    want = golden[case]
+    assert sorted(got) == sorted(want)
+    for key, pinned in want.items():
+        pinned = np.asarray(pinned, dtype=float)
+        have = np.asarray(got[key], dtype=float)
+        assert have.shape == pinned.shape, f"{case}.{key}: shape {have.shape} != {pinned.shape}"
+        scale = float(np.max(np.abs(pinned), initial=0.0))
+        np.testing.assert_allclose(have, pinned, rtol=RTOL, atol=RTOL * scale,
+                                   err_msg=f"{case}.{key}")
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+    assert all(math.isfinite(x) for case in golden.values() for v in case.values()
+               for x in np.ravel(v))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: python tests/test_golden.py --update")
+    GOLDEN.write_text(json.dumps({name: _as_lists(fn()) for name, fn in sorted(CASES.items())},
+                                 indent=1, sort_keys=True) + "\n")
+    print(f"pinned {len(CASES)} cases in {GOLDEN}")
