@@ -2,7 +2,7 @@
 """Run the acceptance suite and print one pass/fail line per criterion.
 
 Equivalent to ``pytest tests/test_acceptance.py -v -s``; exits non-zero if
-any criterion fails.  Expect roughly 15-25 minutes on a 2-core machine.
+any criterion fails.  Expect roughly 10 minutes on a 2-core machine.
 """
 
 import sys

@@ -38,10 +38,10 @@ from .lattice import (
     Field,
     GridError,
     LatticeGrid,
+    LinearPropagator,
     TestFunction,
     build_grid,
     laplacian,
-    mu_symbol,
     sample_test_function,
     weighted_pairing,
 )
@@ -183,10 +183,8 @@ class _Stepper:
     def __init__(self, cfg: SimConfig, grid: LatticeGrid):
         self.cfg = cfg
         self.grid = grid
-        self.mu = mu_symbol(grid)
-        self.a = self.mu + cfg.m2
-        self.imex_mult = 1.0 / (1.0 + cfg.dt * self.a)
-        self.noise_scale = math.sqrt(cfg.dt * grid.eps ** (-grid.d))
+        self.prop = LinearPropagator(grid, cfg.m2, cfg.dt)
+        self.noise_scale = self.prop.noise_scale
         self.rc = cfg.renorm(grid)
         self.quadratic = cfg.quadratic
         if cfg.beta != 0.0 and not cfg.quadratic:
@@ -195,11 +193,6 @@ class _Stepper:
         else:
             self.psi_eps = None
             self.potential = None
-        # exact-OU kernels (quadratic mode): per-mode decay and noise filter
-        self.ou_decay = np.exp(-cfg.dt * self.a)
-        self.ou_noise_mult = np.sqrt(
-            -np.expm1(-2.0 * cfg.dt * self.a) / (2.0 * self.a) * grid.eps ** (-grid.d)
-        )
 
     def _psi_term(self, values: np.ndarray) -> np.ndarray:
         """Tilt drift ``beta F'(<iota u, psi>) psi_eps`` for any leading batch shape."""
@@ -231,39 +224,28 @@ class _Stepper:
             out = out + self._psi_term(values)
         return out
 
-    def _imex_solve(self, rhs: np.ndarray) -> np.ndarray:
-        axes = tuple(range(-self.grid.d, 0))
-        return np.fft.ifftn(np.fft.fftn(rhs, axes=axes) * self.imex_mult, axes=axes).real
-
     @staticmethod
     def _cubic_flow(values: np.ndarray, h: float) -> np.ndarray:
         """Exact solution of du/dt = -u^3 over time h."""
         return values / np.sqrt(1.0 + 2.0 * h * values**2)
 
     def advance(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
+        cfg, prop = self.cfg, self.prop
         if cfg.integrator == "imex":
             rhs = values + cfg.dt * self.explicit_drift(values) + noise
-            return self._imex_solve(rhs)
+            return prop.apply(rhs, prop.imex_mult)
         if cfg.integrator == "explicit":
             return values + cfg.dt * self.full_drift(values) + noise
         if cfg.integrator == "split":
             half = self._cubic_flow(values, cfg.dt / 2.0) if not self.quadratic else values
             rhs = half + cfg.dt * self.explicit_drift(half) + noise
-            solved = self._imex_solve(rhs)
+            solved = prop.apply(rhs, prop.imex_mult)
             return self._cubic_flow(solved, cfg.dt / 2.0) if not self.quadratic else solved
         if cfg.integrator == "exact_gaussian":
-            axes = tuple(range(-self.grid.d, 0))
-            uhat = np.fft.fftn(values, axes=axes) * self.ou_decay
-            what = np.fft.fftn(noise / self.noise_scale, axes=axes) * self.ou_noise_mult
-            return np.fft.ifftn(uhat + what, axes=axes).real
+            uhat = prop.fft(values) * prop.ou_decay
+            what = prop.fft(noise / self.noise_scale) * prop.ou_noise_mult
+            return prop.ifft(uhat + what)
         raise AssertionError(cfg.integrator)
-
-    def stationary_gaussian(self, normals: np.ndarray) -> np.ndarray:
-        """Exact draw from the quadratic-mode stationary law, from unit normals."""
-        axes = tuple(range(-self.grid.d, 0))
-        mult = np.sqrt(self.grid.eps ** (-self.grid.d) / (2.0 * self.a))
-        return np.fft.ifftn(np.fft.fftn(normals, axes=axes) * mult, axes=axes).real
 
 
 def step(state: ChainState, cfg: SimConfig, stepper: _Stepper | None = None) -> ChainState:
@@ -412,8 +394,8 @@ class BatchChain:
         elif stationary_start:
             if not cfg.quadratic:
                 raise ValueError("stationary start is exact only in the quadratic test mode")
-            normals = self.stream.standard_normals(shape)
-            self.values = self.stepper.stationary_gaussian(normals)
+            prop = self.stepper.prop
+            self.values = prop.apply(self.stream.standard_normals(shape), prop.stationary_mult)
         else:
             self.values = np.zeros(shape)
         self.step_index = 0

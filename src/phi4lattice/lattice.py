@@ -33,6 +33,7 @@ __all__ = [
     "build_grid",
     "laplacian",
     "mu_symbol",
+    "LinearPropagator",
     "discrete_pairing",
     "weighted_pairing",
     "embed_pair",
@@ -217,6 +218,42 @@ def mu_symbol(grid: LatticeGrid) -> np.ndarray:
         sh[axis] = n
         total = total + s.reshape(sh)
     return total
+
+
+class LinearPropagator:
+    """Fourier multipliers of ``A = -laplacian + m2`` for one grid and step ``dt``.
+
+    IMEX solve ``(1 + dt A)^-1``, exact OU decay ``exp(-dt A)`` and noise
+    filter, stationary filter ``(eps^-d / 2A)^(1/2)``, exponential-Euler weight
+    ``(1 - exp(-dt A)) / A`` and per-site noise scale ``sqrt(dt eps^-d)``.
+    Transforms act on the trailing d axes (a leading batch axis passes
+    through) and look ``np.fft`` up at call time, so FFT hooks see every call.
+    """
+
+    def __init__(self, grid: LatticeGrid, m2: float, dt: float):
+        self.grid = grid
+        self.m2 = m2
+        self.dt = dt
+        self.axes = tuple(range(-grid.d, 0))
+        self.a = mu_symbol(grid) + m2
+        self.imex_mult = 1.0 / (1.0 + dt * self.a)
+        self.ou_decay = np.exp(-dt * self.a)
+        self.ou_noise_mult = np.sqrt(
+            -np.expm1(-2.0 * dt * self.a) / (2.0 * self.a) * grid.eps ** (-grid.d)
+        )
+        self.exp_euler_weight = dt * (-np.expm1(-dt * self.a) / (dt * self.a))
+        self.stationary_mult = np.sqrt(grid.eps ** (-grid.d) / (2.0 * self.a))
+        self.noise_scale = math.sqrt(dt * grid.eps ** (-grid.d))
+
+    def fft(self, values: np.ndarray) -> np.ndarray:
+        return np.fft.fftn(values, axes=self.axes)
+
+    def ifft(self, spec: np.ndarray) -> np.ndarray:
+        return np.fft.ifftn(spec, axes=self.axes).real
+
+    def apply(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+        """Multiply by a Fourier multiplier: ``ifft(fft(values) * mult)``."""
+        return self.ifft(self.fft(values) * mult)
 
 
 def discrete_pairing(f: Field, g: Field | np.ndarray) -> float:

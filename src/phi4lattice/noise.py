@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Field, GridError, LatticeGrid
+from .lattice import Field, GridError, LatticeGrid, project
 
 __all__ = ["NoiseStream", "NoiseIncrement", "draw_increment", "coarsen"]
 
@@ -94,13 +94,4 @@ def coarsen(fine: NoiseIncrement, levels: int = 1) -> NoiseIncrement:
     coarse_grid = LatticeGrid(g.d, g.L, g.N - levels)
     if coarse_grid.sites_per_axis < 1:
         raise GridError("cannot coarsen below 1 site per axis")
-    r = 2**levels
-    n = coarse_grid.sites_per_axis
-    v = fine.values
-    new_shape: list[int] = []
-    for _ in range(g.d):
-        new_shape.extend([n, r])
-    v = v.reshape(new_shape)
-    for axis in range(g.d):
-        v = v.mean(axis=axis + 1)
-    return NoiseIncrement(coarse_grid, fine.dt, v)
+    return NoiseIncrement(coarse_grid, fine.dt, project(fine.as_field(), coarse_grid).values)

@@ -41,11 +41,10 @@ constant vanishes by parity).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .lattice import BoxRegion, Field, GridError, LatticeGrid, mu_symbol
+from .lattice import BoxRegion, Field, GridError, LatticeGrid, LinearPropagator, mu_symbol
 from .noise import NoiseStream
 from .renorm import compute_c1, compute_c2
 
@@ -106,25 +105,61 @@ class TreeEnsemble:
         return self.stored[a] * self.stored[b]
 
 
-def _heat_factors(grid: LatticeGrid, m2: float, dt: float):
-    a = mu_symbol(grid) + m2
-    return a, np.exp(-dt * a)
+class _TreeState:
+    """tree1 and the heat integrals tree20 / tree30 (from zero), stepped and stored.
 
+    A step's Wick sources come from the tree1 it starts from; the stored
+    tree2 / tree3 from the tree1 it ends at.
+    """
 
-def _spectral(values: np.ndarray, grid: LatticeGrid) -> np.ndarray:
-    return np.fft.fftn(values, axes=tuple(range(-grid.d, 0)))
+    def __init__(self, prop: LinearPropagator, c1: float, tree1: np.ndarray):
+        self.prop = prop
+        self.c1 = c1
+        self.t1 = tree1
+        self.t20 = np.zeros(prop.grid.shape)
+        self.t30 = np.zeros(prop.grid.shape)
+        self.times: list[float] = []
+        self.stored: dict[str, list[np.ndarray]] = {k: [] for k in ("1", "2", "3", "20", "30")}
 
+    @classmethod
+    def stationary(cls, prop: LinearPropagator, c1: float, normals: np.ndarray,
+                   amplitude: float = 1.0) -> "_TreeState":
+        """Start from the exact stationary linear field (per-mode variance eps^-d / 2a)."""
+        return cls(prop, c1, amplitude * prop.apply(normals, prop.stationary_mult))
 
-def _physical(spec: np.ndarray, grid: LatticeGrid) -> np.ndarray:
-    return np.fft.ifftn(spec, axes=tuple(range(-grid.d, 0))).real
+    def _wick(self) -> tuple[np.ndarray, np.ndarray]:
+        t1 = self.t1
+        return t1 * t1 - self.c1, t1 * (t1 * t1 - 3.0 * self.c1)
 
+    def step_imex(self, eta: np.ndarray) -> None:
+        """Linear-implicit step driven by the noise increment ``eta``."""
+        p = self.prop
+        t2, t3 = self._wick()
+        self.t1 = p.apply(self.t1 + eta, p.imex_mult)
+        self.t20 = p.apply(self.t20 + p.dt * t2, p.imex_mult)
+        self.t30 = p.apply(self.t30 + p.dt * t3, p.imex_mult)
 
-def stationary_linear_sample(grid: LatticeGrid, m2: float, stream: NoiseStream) -> np.ndarray:
-    """Exact draw of the stationary linear field (per-mode variance eps^-d / 2a)."""
-    a = mu_symbol(grid) + m2
-    normals = stream.standard_normals()
-    mult = np.sqrt(grid.eps ** (-grid.d) / (2.0 * a))
-    return _physical(_spectral(normals, grid) * mult, grid)
+    def step_exact(self, normals: np.ndarray, amplitude: float) -> None:
+        """Exact OU step for tree1, exponential Euler for the heat integrals."""
+        p = self.prop
+        t2, t3 = self._wick()
+        self.t1 = p.ifft(p.fft(self.t1) * p.ou_decay
+                         + amplitude * p.fft(normals) * p.ou_noise_mult)
+        self.t20 = p.ifft(p.fft(self.t20) * p.ou_decay + p.exp_euler_weight * p.fft(t2))
+        self.t30 = p.ifft(p.fft(self.t30) * p.ou_decay + p.exp_euler_weight * p.fft(t3))
+
+    def store(self, t: float) -> None:
+        t2, t3 = self._wick()
+        self.times.append(t)
+        for key, val in (("1", self.t1.copy()), ("2", t2), ("3", t3),
+                         ("20", self.t20.copy()), ("30", self.t30.copy())):
+            self.stored[key].append(val)
+
+    def ensemble(self, c2: float, mode: str, seed: int) -> TreeEnsemble:
+        p = self.prop
+        stored = {k: np.array(v) for k, v in self.stored.items()}
+        return TreeEnsemble(grid=p.grid, times=np.array(self.times), dt=p.dt, c1=self.c1,
+                            c2=c2, m2=p.m2, stored=stored, mode=mode, seed=seed)
 
 
 def evolve_trees(
@@ -162,59 +197,21 @@ def evolve_trees(
     if c2 is None:
         c2 = compute_c2(grid, m2)
 
-    a, decay = _heat_factors(grid, m2, dt)
-    imex_mult = 1.0 / (1.0 + dt * a)
-    phi1 = -np.expm1(-dt * a) / (dt * a)
-    ou_noise_mult = np.sqrt(-np.expm1(-2.0 * dt * a) / (2.0 * a) * grid.eps ** (-grid.d))
-    noise_scale = math.sqrt(dt * grid.eps ** (-grid.d))
-
+    prop = LinearPropagator(grid, m2, dt)
     if initial_tree1 is not None:
-        t1 = np.array(initial_tree1, dtype=float)
+        state = _TreeState(prop, c1, np.array(initial_tree1, dtype=float))
     else:
-        t1 = noise_amplitude * stationary_linear_sample(grid, m2, stream)
-    t20 = np.zeros(grid.shape)
-    t30 = np.zeros(grid.shape)
-
-    times = []
-    stored: dict[str, list[np.ndarray]] = {k: [] for k in ("1", "2", "3", "20", "30")}
+        state = _TreeState.stationary(prop, c1, stream.standard_normals(), noise_amplitude)
     for k in range(1, n_steps + 1):
-        t2 = t1 * t1 - c1
-        t3 = t1 * (t1 * t1 - 3.0 * c1)
         if mode == "imex":
-            eta = noise_amplitude * noise_scale * stream.standard_normals()
-            t1 = _physical(_spectral(t1 + eta, grid) * imex_mult, grid)
-            t20 = _physical(_spectral(t20 + dt * t2, grid) * imex_mult, grid)
-            t30 = _physical(_spectral(t30 + dt * t3, grid) * imex_mult, grid)
+            state.step_imex(noise_amplitude * prop.noise_scale * stream.standard_normals())
         else:
-            w = stream.standard_normals()
-            t1 = _physical(
-                _spectral(t1, grid) * decay
-                + noise_amplitude * _spectral(w, grid) * ou_noise_mult,
-                grid,
-            )
-            t20 = _physical(_spectral(t20, grid) * decay + dt * phi1 * _spectral(t2, grid), grid)
-            t30 = _physical(_spectral(t30, grid) * decay + dt * phi1 * _spectral(t3, grid), grid)
-        if not np.all(np.isfinite(t20)) or not np.all(np.isfinite(t30)):
+            state.step_exact(stream.standard_normals(), noise_amplitude)
+        if not np.all(np.isfinite(state.t20)) or not np.all(np.isfinite(state.t30)):
             raise RuntimeError(f"sourced tree blow-up at step {k}: dt too large")
         if k % store_every == 0:
-            times.append(k * dt)
-            stored["1"].append(t1.copy())
-            stored["2"].append(t1 * t1 - c1)
-            stored["3"].append(t1 * (t1 * t1 - 3.0 * c1))
-            stored["20"].append(t20.copy())
-            stored["30"].append(t30.copy())
-
-    return TreeEnsemble(
-        grid=grid,
-        times=np.array(times),
-        dt=dt,
-        c1=c1,
-        c2=c2,
-        m2=m2,
-        stored={k: np.array(v) for k, v in stored.items()},
-        mode=mode,
-        seed=stream.seed,
-    )
+            state.store(k * dt)
+    return state.ensemble(c2, mode, stream.seed)
 
 
 def evolve_with_chain(
@@ -233,7 +230,7 @@ def evolve_with_chain(
     is the smooth remainder.  Returns the ensemble and the stored chain
     trajectory (same decimation as the ensemble).
     """
-    from .dynamics import _Stepper  # shared step kernels
+    from .dynamics import BlowUpError, _Stepper  # shared step kernels
 
     grid = cfg.grid()
     if u0.grid != grid:
@@ -243,54 +240,23 @@ def evolve_with_chain(
     c1 = compute_c1(grid, cfg.m2)
     if c2 is None:
         c2 = compute_c2(grid, cfg.m2)
-    a, _ = _heat_factors(grid, cfg.m2, cfg.dt)
-    imex_mult = 1.0 / (1.0 + cfg.dt * a)
-    noise_scale = math.sqrt(cfg.dt * grid.eps ** (-grid.d))
-
-    u = u0.values.copy()
-    t1 = noise_amplitude * stationary_linear_sample(grid, cfg.m2, stream)
-    t20 = np.zeros(grid.shape)
-    t30 = np.zeros(grid.shape)
     if n_steps is None:
         n_steps = cfg.n_steps()
 
-    times = []
-    stored: dict[str, list[np.ndarray]] = {k: [] for k in ("1", "2", "3", "20", "30")}
+    u = u0.values.copy()
+    state = _TreeState.stationary(stepper.prop, c1, stream.standard_normals(), noise_amplitude)
     u_stored = []
     for k in range(1, n_steps + 1):
-        t2 = t1 * t1 - c1
-        t3 = t1 * (t1 * t1 - 3.0 * c1)
-        eta = noise_amplitude * noise_scale * stream.standard_normals()
+        eta = noise_amplitude * stepper.noise_scale * stream.standard_normals()
         with np.errstate(over="ignore", invalid="ignore"):
             u = stepper.advance(u, eta)
         if not np.all(np.isfinite(u)):
-            from .dynamics import BlowUpError
-
             raise BlowUpError(k)
-        t1 = _physical(_spectral(t1 + eta, grid) * imex_mult, grid)
-        t20 = _physical(_spectral(t20 + cfg.dt * t2, grid) * imex_mult, grid)
-        t30 = _physical(_spectral(t30 + cfg.dt * t3, grid) * imex_mult, grid)
+        state.step_imex(eta)
         if k % store_every == 0:
-            times.append(k * cfg.dt)
-            stored["1"].append(t1.copy())
-            stored["2"].append(t1 * t1 - c1)
-            stored["3"].append(t1 * (t1 * t1 - 3.0 * c1))
-            stored["20"].append(t20.copy())
-            stored["30"].append(t30.copy())
+            state.store(k * cfg.dt)
             u_stored.append(u.copy())
-
-    ens = TreeEnsemble(
-        grid=grid,
-        times=np.array(times),
-        dt=cfg.dt,
-        c1=c1,
-        c2=c2,
-        m2=cfg.m2,
-        stored={k: np.array(v) for k, v in stored.items()},
-        mode="imex",
-        seed=cfg.seed,
-    )
-    return ens, np.array(u_stored)
+    return state.ensemble(c2, "imex", cfg.seed), np.array(u_stored)
 
 
 @dataclass

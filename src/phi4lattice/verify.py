@@ -28,12 +28,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import SimConfig, _Stepper
+from .dynamics import BatchChain, SimConfig, _Stepper
 from .lattice import (
     BoxRegion,
     Field,
     GridError,
     LatticeGrid,
+    LinearPropagator,
     TestFunction,
     build_grid,
     iota_refine,
@@ -45,6 +46,7 @@ from .noise import NoiseIncrement, NoiseStream, coarsen
 from .renorm import compute_c1, compute_c2
 from .trees import (
     DyadicKernelFamily,
+    _TreeState,
     holder_norm_neg,
     seminorm_report,
     evolve_with_chain,
@@ -326,14 +328,9 @@ def coming_down_check(
     for mag in magnitudes:
         cfg = SimConfig(d=d, L=L, N=N, dt=dt, t_end=t_snapshot, integrator="split", seed=seed)
         grid = cfg.grid()
-        u0 = _initial_profile(grid, mag)
-        stepper = _Stepper(cfg, grid)
-        stream = NoiseStream(cfg.seed, grid, stream_id=cfg.stream_id)
-        u = u0.values.copy()
-        for _ in range(cfg.n_steps()):
-            eta = stepper.noise_scale * stream.standard_normals()
-            u = stepper.advance(u, eta)
-        norms[mag] = holder_norm_neg(Field(grid, u), alpha)
+        batch = BatchChain(cfg, 1, initial=_initial_profile(grid, mag).values[None])
+        batch.advance(cfg.n_steps())
+        norms[mag] = holder_norm_neg(Field(grid, batch.values[0]), alpha)
     vals = list(norms.values())
     return {
         "norms": norms,
@@ -365,77 +362,31 @@ def volume_pair_seminorms(
     beyond statistical factors: behaviour far from the box cannot influence
     the localised bound.
     """
-    from .trees import TreeEnsemble, seminorm_report as _report
-
     grid_s = build_grid(d, L, N)
     grid_l = build_grid(d, 2.0 * L, N)
-    n_s = grid_s.sites_per_axis
     stream = NoiseStream(seed, grid_l, stream_id=17)
-    restrict = (slice(0, n_s),) * d
-
-    def filtered_init(white, grid):
-        a = mu_symbol(grid) + m2
-        mult = np.sqrt(grid.eps ** (-d) / (2.0 * a))
-        return np.fft.ifftn(np.fft.fftn(white) * mult).real
+    restrict = (slice(0, grid_s.sites_per_axis),) * d
 
     white0 = stream.standard_normals()
-    state = {}
-    for tag, grid, w0 in (("small", grid_s, white0[restrict]), ("large", grid_l, white0)):
-        a = mu_symbol(grid) + m2
-        state[tag] = {
-            "grid": grid,
-            "t1": filtered_init(w0, grid),
-            "t20": np.zeros(grid.shape),
-            "t30": np.zeros(grid.shape),
-            "a": a,
-            "mult": 1.0 / (1.0 + dt * a),
-            "c1": compute_c1(grid, m2),
-            "stored": {k: [] for k in ("1", "2", "3", "20", "30")},
-        }
-    noise_scale = math.sqrt(dt * grid_s.eps ** (-d))
-
-    n_steps = int(round(1.0 / dt))
-    times = []
-    for k in range(1, n_steps + 1):
+    states = {
+        tag: _TreeState.stationary(LinearPropagator(grid, m2, dt), compute_c1(grid, m2), w0)
+        for tag, grid, w0 in (("small", grid_s, white0[restrict]), ("large", grid_l, white0))
+    }
+    noise_scale = states["small"].prop.noise_scale
+    for k in range(1, int(round(1.0 / dt)) + 1):
         white = stream.standard_normals()
-        for tag in ("small", "large"):
-            st = state[tag]
-            eta = noise_scale * (white[restrict] if tag == "small" else white)
-            axes = tuple(range(-d, 0))
-            t2 = st["t1"] ** 2 - st["c1"]
-            t3 = st["t1"] * (st["t1"] ** 2 - 3.0 * st["c1"])
-            st["t1"] = np.fft.ifftn(np.fft.fftn(st["t1"] + eta, axes=axes) * st["mult"],
-                                    axes=axes).real
-            st["t20"] = np.fft.ifftn(np.fft.fftn(st["t20"] + dt * t2, axes=axes) * st["mult"],
-                                     axes=axes).real
-            st["t30"] = np.fft.ifftn(np.fft.fftn(st["t30"] + dt * t3, axes=axes) * st["mult"],
-                                     axes=axes).real
+        for tag, w in (("small", white[restrict]), ("large", white)):
+            states[tag].step_imex(noise_scale * w)
             if k % store_every == 0:
-                st["stored"]["1"].append(st["t1"].copy())
-                st["stored"]["2"].append(st["t1"] ** 2 - st["c1"])
-                st["stored"]["3"].append(st["t1"] * (st["t1"] ** 2 - 3.0 * st["c1"]))
-                st["stored"]["20"].append(st["t20"].copy())
-                st["stored"]["30"].append(st["t30"].copy())
-        if k % store_every == 0:
-            times.append(k * dt)
+                states[tag].store(k * dt)
 
-    out = {}
     box = BoxRegion((-N_box,) * d, (N_box,) * d)
-    for tag in ("small", "large"):
-        st = state[tag]
-        ens = TreeEnsemble(
-            grid=st["grid"],
-            times=np.array(times),
-            dt=dt,
-            c1=st["c1"],
-            c2=compute_c2(st["grid"], m2),
-            m2=m2,
-            stored={k: np.array(v) for k, v in st["stored"].items()},
-            mode="imex",
-            seed=seed,
-        )
-        kernels = DyadicKernelFamily(st["grid"], store_dt=dt * store_every)
-        out[tag] = _report(ens, kernels, kappa, domain=box)
+    out = {}
+    for tag, st in states.items():
+        grid = st.prop.grid
+        ens = st.ensemble(compute_c2(grid, m2), "imex", seed)
+        kernels = DyadicKernelFamily(grid, store_dt=dt * store_every)
+        out[tag] = seminorm_report(ens, kernels, kappa, domain=box)
     return out
 
 
@@ -479,22 +430,18 @@ def gaussian_covariance_battery(
     size uses the slowest mode's integrated autocorrelation time.
     """
     grid = build_grid(d, L, N)
-    a = mu_symbol(grid) + m2
-    rho = np.exp(-dt * a)
-    sigma_mode = np.sqrt(-np.expm1(-2.0 * dt * a) / (2.0 * a) * grid.eps ** (-d))
-    init_mode = np.sqrt(grid.eps ** (-d) / (2.0 * a))
+    prop = LinearPropagator(grid, m2, dt)
     stream = NoiseStream(seed, grid, stream_id=stream_id)
-    axes = tuple(range(1, d + 1))
     shape = (n_chains,) + grid.shape
 
-    u_hat = np.fft.fftn(stream.standard_normals(shape), axes=axes) * init_mode
+    u_hat = prop.fft(stream.standard_normals(shape)) * prop.stationary_mult
     acc = np.zeros(shape)
     for _ in range(n_records):
-        w_hat = np.fft.fftn(stream.standard_normals(shape), axes=axes)
-        u_hat = rho * u_hat + sigma_mode * w_hat
+        w_hat = prop.fft(stream.standard_normals(shape))
+        u_hat = prop.ou_decay * u_hat + prop.ou_noise_mult * w_hat
         acc += np.abs(u_hat) ** 2
-    per_chain = np.fft.ifftn(acc / n_records, axes=axes).real / grid.n_sites
-    exact = np.fft.ifftn(grid.eps ** (-d) / (2.0 * a)).real
+    per_chain = prop.ifft(acc / n_records) / grid.n_sites
+    exact = prop.ifft(grid.eps ** (-d) / (2.0 * prop.a))
 
     ids = lag_orbit_ids(grid.shape)
     n_orbits = ids.max() + 1

@@ -47,6 +47,14 @@ class TestParseConfig:
         assert "potental.n" in str(err.value)
         assert "potential.n" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["renorm.c2_method = sum", "observable.kind = V",
+                                     "noise.kind = counter_rng"])
+    def test_removed_keys_are_unknown(self, tmp_path, key):
+        path = write_config(tmp_path, MINIMAL + key + "\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
     def test_cfl_violation_named(self, tmp_path):
         path = write_config(tmp_path, MINIMAL + "integrator = explicit\n")
         with pytest.raises(ConfigError) as err:
@@ -105,6 +113,18 @@ class TestRunCommand:
         full_snap = sorted((out_full).glob("snapshot_*.snap"))[-1]
         res_snap = sorted((out_res).glob("snapshot_*.snap"))[-1]
         assert full_snap.read_bytes() == res_snap.read_bytes()
+
+    @pytest.mark.parametrize("change", ["seed = 8", "grid.N = 5"])
+    def test_resume_refuses_mismatched_snapshot(self, tmp_path, capsys, change):
+        cfg = write_config(tmp_path, MINIMAL + "snapshot_every = 10\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        other = tmp_path / "other.cfg"
+        other.write_text(MINIMAL + "snapshot_every = 10\n" + change + "\n")
+        assert main(["run", "--config", str(other), "--out", str(out), "--resume"]) == 2
+        assert "snapshot_00000020.snap" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_blow_up_exit_code(self, tmp_path):
         cfg = write_config(

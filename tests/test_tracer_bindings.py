@@ -1,0 +1,49 @@
+"""The traced benchmark run must keep reaching the code it measures.
+
+``bench/tracer.py`` wraps named functions and the ``numpy.fft`` transforms
+and refuses to run when a span target no longer binds.  A refactor that
+renames a target, or caches a transform where the hook cannot see it,
+would make the traced run fail; this test catches that in the suite.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PROBE = """
+import json
+from tracer import Tracer
+from phi4lattice import dynamics, noise, lattice
+
+# built before install, as a propagator kept across traced and untraced runs would be
+batch = dynamics.BatchChain(dynamics.SimConfig(d=2, N=2, dt=0.01, integrator="imex"), 2)
+tracer = Tracer()
+tracer.install()
+batch.advance(3)
+inc = noise.NoiseStream(0, lattice.build_grid(2, 1.0, 3)).draw(0.01)
+noise.coarsen(inc)
+print(json.dumps({"bindings": tracer.bindings, "metrics": tracer.metrics()}))
+"""
+
+
+def test_every_span_target_binds():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])
+    proc = subprocess.run([sys.executable, "-c", PROBE], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    bindings = report["bindings"]
+    assert all(n > 0 for n in bindings.values()), bindings
+    for target in ("dynamics._Stepper.advance", "trees.evolve_trees", "trees.evolve_with_chain",
+                   "verify.volume_pair_seminorms", "noise.coarsen"):
+        assert bindings[target] > 0, target
+    metrics = report["metrics"]
+    # _Stepper.advance reads stepper.grid; the propagator's transforms reach the FFT hook
+    assert metrics["dynamics.steps"] == 2 * 3
+    assert metrics["dynamics.fft_calls"] > 0
+    assert metrics["noise.calls"] > 0
