@@ -248,10 +248,9 @@ class _Stepper:
         raise AssertionError(cfg.integrator)
 
 
-def step(state: ChainState, cfg: SimConfig, stepper: _Stepper | None = None) -> ChainState:
+def step(state: ChainState, stepper: _Stepper) -> ChainState:
     """Advance one chain by one time step; raises :class:`BlowUpError` on overflow."""
-    if stepper is None:
-        stepper = _Stepper(cfg, state.field.grid)
+    cfg = stepper.cfg
     noise = state.stream.draw(cfg.dt).values
     with np.errstate(over="ignore", invalid="ignore"):
         new_values = stepper.advance(state.field.values, noise)
@@ -325,7 +324,7 @@ def run_chain(
     snapshots: list[tuple[int, Field]] = []
     fields: list[Field] = []
     while state.step < n_steps:
-        state = step(state, cfg, stepper)
+        state = step(state, stepper)
         k = state.step
         if cfg.snapshot_every and k % cfg.snapshot_every == 0:
             snapshots.append((k, state.field.copy()))

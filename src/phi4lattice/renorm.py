@@ -1,20 +1,23 @@
 """Lattice renormalisation constants: tadpole, sunset, and the mass counterterm.
 
 ``compute_c1`` is the stationary per-site variance of the linear (additive
-noise) lattice dynamics with reference operator ``-lap + m2``; it is the
-constant that centers the second Wick power.  ``compute_c2`` is the lattice
-sunset value: the stationary mean of the once-heat-integrated second Wick
-power multiplied by the second Wick power at a point, derived in closed form
-from the stationary two-point structure.  In d=3 they diverge as ``eps^-1``
-and ``|log eps|`` respectively; both are finite at every positive grid scale.
+noise) lattice dynamics with reference operator ``-lap + m2``; it centers the
+second Wick power.  ``compute_c2`` is the lattice sunset value: the stationary
+mean of the once-heat-integrated second Wick power times the second Wick
+power at a point.  In d=3 they diverge as ``eps^-1`` and ``|log eps|``; both
+are finite at every positive grid scale, and neither takes the observable
+coupling, the test function or the truncation index as input.
 
-The constants depend only on the grid and the reference mass; they take
-neither the observable coupling, the test function, nor the truncation index
-as input.
+The sunset is a sum over mode pairs coupled only through the aliased mode
+``k + l``.  Writing ``1/(a_k + a_l + a_{k+l}) = int_0^inf e^{-(a_k + a_l +
+a_{k+l}) t} dt`` factorises it at each time into one FFT convolution, so a
+trapezoid rule in ``log t`` (``compute_c2``), or the geometric series over
+time steps (``c2_discrete_time``), costs O(sites log sites) per node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +27,9 @@ from .lattice import LatticeGrid, mu_symbol
 __all__ = ["RenormConstants", "compute_c1", "compute_c2", "c2_discrete_time"]
 
 DEFAULT_M2 = 1.0
-C2_BUDGET = 2**28
-
-
-class BudgetError(RuntimeError):
-    """The O(sites^2) sunset sum would exceed the configured budget."""
+# Sunset integrands decay at least like e^{-3 m2 t}: truncations sit at e^-40, below
+# double rounding; the trapezoid rule in log t converges exponentially in 1/step.
+_TAIL, _LOG_STEP = 40.0, 0.2
 
 
 def compute_c1(grid: LatticeGrid, m2: float = DEFAULT_M2) -> float:
@@ -39,39 +40,28 @@ def compute_c1(grid: LatticeGrid, m2: float = DEFAULT_M2) -> float:
     return float(np.sum(1.0 / (2.0 * a)) / grid.L**grid.d)
 
 
-def _sunset_sum(grid: LatticeGrid, m2: float, weight) -> float:
-    """Accumulate sum_{k,l} weight(a_k, a_l, a_{k+l}) / (a_k a_l) over mode pairs."""
-    a = mu_symbol(grid) + m2
-    flat = a.reshape(-1)
-    total = 0.0
-    shape = grid.shape
-    for idx in np.ndindex(*shape):
-        a_k = a[idx]
-        a_kl = np.roll(a, shift=[-i for i in idx], axis=tuple(range(grid.d)))
-        total += float(np.sum(weight(a_k, flat, a_kl.reshape(-1)) / (a_k * flat)))
-    return total
+def _pair_sum(f: np.ndarray, g: np.ndarray) -> float:
+    """``sum_{k,l} f(k) f(l) g(k+l)`` over aliased modes: a cyclic convolution by FFT."""
+    conv = np.fft.irfftn(np.fft.rfftn(f) ** 2, f.shape, tuple(range(f.ndim)))
+    return float(np.sum(conv * g))
 
 
-def compute_c2(grid: LatticeGrid, m2: float = DEFAULT_M2, budget: int = C2_BUDGET) -> float:
+def compute_c2(grid: LatticeGrid, m2: float = DEFAULT_M2) -> float:
     """Sunset constant ``(1/2) L^-2d sum_{k,l} [a_k a_l (a_k + a_l + a_{k+l})]^-1``.
 
-    ``a = mu + m2`` and ``k + l`` is the aliased mode sum.  Cost is
-    O(sites^2); grids whose squared site count exceeds ``budget`` raise
-    :class:`BudgetError` (callers may fall back to a Monte-Carlo estimate).
+    ``a = mu + m2`` and ``k + l`` is the aliased mode sum.
     """
     if not m2 > 0:
         raise ValueError(f"reference mass m2 must be positive, got {m2}")
-    if grid.n_sites**2 > budget:
-        raise BudgetError(
-            f"sunset sum needs {grid.n_sites ** 2} terms, over budget {budget}"
-        )
-    total = _sunset_sum(grid, m2, lambda a_k, a_l, a_kl: 1.0 / (a_k + a_l + a_kl))
+    a = mu_symbol(grid) + m2
+    total = 0.0  # trapezoid rule in s = log t; both end values are below e^-40 of the sum
+    for t in np.exp(np.arange(-np.log(a.max()) - _TAIL, np.log(_TAIL / (3.0 * m2)), _LOG_STEP)):
+        e = np.exp(-a * t)
+        total += _LOG_STEP * t * _pair_sum(e / a, e)
     return 0.5 * total / grid.L ** (2 * grid.d)
 
 
-def c2_discrete_time(
-    grid: LatticeGrid, m2: float, dt: float, budget: int = C2_BUDGET
-) -> float:
+def c2_discrete_time(grid: LatticeGrid, m2: float, dt: float) -> float:
     """Sunset value for the exact-OU / exponential-Euler time discretisation.
 
     When the linear tree is sampled exactly on a dt-grid and its heat
@@ -80,17 +70,16 @@ def c2_discrete_time(
     with the corresponding geometric sum.  Converges to :func:`compute_c2`
     as ``dt -> 0``; used to bound integrator bias in the Monte-Carlo checks.
     """
-    if grid.n_sites**2 > budget:
-        raise BudgetError(
-            f"sunset sum needs {grid.n_sites ** 2} terms, over budget {budget}"
-        )
-
-    def weight(a_k, a_l, a_kl):
-        b = a_k + a_l
-        phi1 = -np.expm1(-a_kl * dt) / (a_kl * dt)
-        return dt * phi1 * np.exp(-b * dt) / (-np.expm1(-(b + a_kl) * dt))
-
-    total = _sunset_sum(grid, m2, weight)
+    if not (m2 > 0 and dt > 0):
+        raise ValueError(f"m2 and dt must be positive, got m2={m2}, dt={dt}")
+    a = mu_symbol(grid) + m2
+    # term j >= 1 pairs e^{-a j dt} / a with the heat weight times e^{-a (j-1) dt}
+    heat = -np.expm1(-a * dt) / a
+    total, g = 0.0, heat
+    for j in range(1, math.ceil(_TAIL / (3.0 * m2 * dt)) + 1):
+        e = np.exp(-a * (j * dt))
+        total += _pair_sum(e / a, g)
+        g = heat * e
     return 0.5 * total / grid.L ** (2 * grid.d)
 
 
@@ -121,35 +110,7 @@ class RenormConstants:
         m2: float = DEFAULT_M2,
         c1_offset: float = 0.0,
         c2_offset: float = 0.0,
-        c2_method: str = "sum",
     ) -> "RenormConstants":
         c1 = compute_c1(grid, m2) + c1_offset
-        if grid.d == 3:
-            if c2_method == "sum":
-                c2 = compute_c2(grid, m2) + c2_offset
-            elif c2_method == "mc":
-                c2 = estimate_c2_mc(grid, m2) + c2_offset
-            else:
-                raise ValueError(f"unknown c2 method {c2_method!r}")
-        else:
-            c2 = c2_offset
+        c2 = compute_c2(grid, m2) + c2_offset if grid.d == 3 else c2_offset
         return cls(c1=c1, c2=c2, m2=m2, grid=grid)
-
-
-def estimate_c2_mc(
-    grid: LatticeGrid,
-    m2: float = DEFAULT_M2,
-    dt: float = 0.01,
-    t_end: float = 60.0,
-    burn: float = 6.0,
-    seed: int = 0,
-) -> float:
-    """Monte-Carlo sunset estimate, the fallback when the O(sites^2) sum is
-    over budget: stationary mean of the heat-integrated second Wick power
-    times the second Wick power, from an exact-transition tree run."""
-    from .trees import evolve_trees  # runtime import: trees builds on renorm
-
-    ens = evolve_trees(grid, dt=dt, n_steps=int(round(t_end / dt)), seed=seed,
-                       mode="exact", store_every=5, c2=0.0)
-    keep = ens.times > burn
-    return float((ens.stored["20"] * ens.stored["2"])[keep].mean())

@@ -220,7 +220,6 @@ def evolve_with_chain(
     *,
     n_steps: int | None = None,
     store_every: int = 1,
-    c2: float | None = None,
     noise_amplitude: float = 1.0,
 ) -> tuple[TreeEnsemble, np.ndarray]:
     """Co-evolve the chain and the tree ensemble from one noise stream.
@@ -238,8 +237,7 @@ def evolve_with_chain(
     stepper = _Stepper(cfg, grid)
     stream = NoiseStream(cfg.seed, grid, stream_id=cfg.stream_id)
     c1 = compute_c1(grid, cfg.m2)
-    if c2 is None:
-        c2 = compute_c2(grid, cfg.m2)
+    c2 = compute_c2(grid, cfg.m2)
     if n_steps is None:
         n_steps = cfg.n_steps()
 

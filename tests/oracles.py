@@ -153,3 +153,30 @@ def survival_inverse_sample(rng: np.random.Generator, n: int, power: float) -> n
     """Samples with exact survival ``P(X > K) = exp(-K^power)`` for K >= 0."""
     u = rng.uniform(size=n)
     return (-np.log(u)) ** (1.0 / power)
+
+
+def sunset_sum_loops(grid: LatticeGrid, m2: float, dt: float | None = None) -> float:
+    """Sunset constant by the O(sites^2) mode-pair sum, one ``np.roll`` per mode.
+
+    ``dt=None`` gives ``(1/2) L^-2d sum_{k,l} [a_k a_l (a_k + a_l + a_{k+l})]^-1``
+    with ``a = mu + m2``; a positive ``dt`` replaces the time integral behind
+    the last factor by its exact-OU / exponential-Euler geometric sum.
+    """
+
+    def weight(a_k, a_l, a_kl):
+        if dt is None:
+            return 1.0 / (a_k + a_l + a_kl)
+        b = a_k + a_l
+        phi1 = -np.expm1(-a_kl * dt) / (a_kl * dt)
+        return dt * phi1 * np.exp(-b * dt) / (-np.expm1(-(b + a_kl) * dt))
+
+    n = grid.sites_per_axis
+    mu_axis = 4.0 / grid.eps**2 * np.sin(np.pi * np.arange(n) / n) ** 2
+    a = m2 + sum(np.meshgrid(*[mu_axis] * grid.d, indexing="ij"))
+    flat = a.reshape(-1)
+    total = 0.0
+    for idx in np.ndindex(*grid.shape):
+        a_k = a[idx]
+        a_kl = np.roll(a, shift=[-i for i in idx], axis=tuple(range(grid.d)))
+        total += float(np.sum(weight(a_k, flat, a_kl.reshape(-1)) / (a_k * flat)))
+    return 0.5 * total / grid.L ** (2 * grid.d)

@@ -126,6 +126,15 @@ class TestRunCommand:
         assert "snapshot_00000020.snap" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_d3_fine_grid_runs(self, tmp_path):
+        # 32^3 sites: the sunset constant of this grid is built on every d=3 run
+        cfg = write_config(tmp_path, "seed = 3\ngrid.d = 3\ngrid.N = 5\nintegrator = split\n"
+                           "dt = 0.0005\nt_end = 0.001\n")
+        out = tmp_path / "d3"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["grid.N"] == 5
+
     def test_blow_up_exit_code(self, tmp_path):
         cfg = write_config(
             tmp_path,

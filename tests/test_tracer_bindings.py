@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PROBE = """
 import json
 from tracer import Tracer
-from phi4lattice import dynamics, noise, lattice
+from phi4lattice import dynamics, noise, lattice, renorm
 
 # built before install, as a propagator kept across traced and untraced runs would be
 batch = dynamics.BatchChain(dynamics.SimConfig(d=2, N=2, dt=0.01, integrator="imex"), 2)
@@ -26,6 +26,7 @@ tracer.install()
 batch.advance(3)
 inc = noise.NoiseStream(0, lattice.build_grid(2, 1.0, 3)).draw(0.01)
 noise.coarsen(inc)
+renorm.compute_c2(lattice.build_grid(3, 1.0, 2))
 print(json.dumps({"bindings": tracer.bindings, "metrics": tracer.metrics()}))
 """
 
@@ -47,3 +48,6 @@ def test_every_span_target_binds():
     assert metrics["dynamics.steps"] == 2 * 3
     assert metrics["dynamics.fft_calls"] > 0
     assert metrics["noise.calls"] > 0
+    # the sunset sums are FFT convolutions; their transforms must reach the hook too
+    assert metrics["renorm.c2_calls"] >= 1
+    assert metrics["renorm.fft_calls"] > 0
