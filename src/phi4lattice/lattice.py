@@ -226,8 +226,11 @@ class LinearPropagator:
     IMEX solve ``(1 + dt A)^-1``, exact OU decay ``exp(-dt A)`` and noise
     filter, stationary filter ``(eps^-d / 2A)^(1/2)``, exponential-Euler weight
     ``(1 - exp(-dt A)) / A`` and per-site noise scale ``sqrt(dt eps^-d)``.
-    Transforms act on the trailing d axes (a leading batch axis passes
-    through) and look ``np.fft`` up at call time, so FFT hooks see every call.
+    Fields are real and the multipliers even in k, so transforms are the
+    real-input ``rfftn`` / ``irfftn`` pair and the multipliers live on its
+    half spectrum (last axis cut to ``n // 2 + 1``).  Transforms act on the
+    trailing d axes (a leading batch axis passes through) and look ``np.fft``
+    up at call time, so FFT hooks see every call.
     """
 
     def __init__(self, grid: LatticeGrid, m2: float, dt: float):
@@ -235,7 +238,7 @@ class LinearPropagator:
         self.m2 = m2
         self.dt = dt
         self.axes = tuple(range(-grid.d, 0))
-        self.a = mu_symbol(grid) + m2
+        self.a = mu_symbol(grid)[..., : grid.sites_per_axis // 2 + 1] + m2
         self.imex_mult = 1.0 / (1.0 + dt * self.a)
         self.ou_decay = np.exp(-dt * self.a)
         self.ou_noise_mult = np.sqrt(
@@ -246,10 +249,10 @@ class LinearPropagator:
         self.noise_scale = math.sqrt(dt * grid.eps ** (-grid.d))
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(values, axes=self.axes)
+        return np.fft.rfftn(values, axes=self.axes)
 
     def ifft(self, spec: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(spec, axes=self.axes).real
+        return np.fft.irfftn(spec, self.grid.shape, self.axes)
 
     def apply(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
         """Multiply by a Fourier multiplier: ``ifft(fft(values) * mult)``."""

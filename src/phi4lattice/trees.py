@@ -306,8 +306,9 @@ class DyadicKernelFamily:
         partially covered and must be excluded from suprema by the caller.
         """
         spatial_axes = tuple(range(-self.grid.d, 0))
-        spec = np.fft.fftn(arr, axes=spatial_axes) * self._multipliers[idx]
-        out = np.fft.ifftn(spec, axes=spatial_axes).real
+        half = self._multipliers[idx][..., : self.grid.sites_per_axis // 2 + 1]
+        spec = np.fft.rfftn(arr, axes=spatial_axes) * half
+        out = np.fft.irfftn(spec, self.grid.shape, spatial_axes)
         tk = self._time_kernels[idx]
         if len(tk) == 1:
             return out

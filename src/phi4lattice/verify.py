@@ -435,7 +435,7 @@ def gaussian_covariance_battery(
     shape = (n_chains,) + grid.shape
 
     u_hat = prop.fft(stream.standard_normals(shape)) * prop.stationary_mult
-    acc = np.zeros(shape)
+    acc = np.zeros(u_hat.shape)
     for _ in range(n_records):
         w_hat = prop.fft(stream.standard_normals(shape))
         u_hat = prop.ou_decay * u_hat + prop.ou_noise_mult * w_hat
