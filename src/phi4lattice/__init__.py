@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 from .lattice import LatticeGrid, Field, TestFunction, build_grid
 from .noise import NoiseStream, NoiseIncrement
 from .renorm import RenormConstants, compute_c1, compute_c2
-from .potential import TruncatedPotential, Observable
+from .potential import TruncatedPotential
 
 __all__ = [
     "LatticeGrid",
@@ -32,6 +32,5 @@ __all__ = [
     "compute_c1",
     "compute_c2",
     "TruncatedPotential",
-    "Observable",
     "__version__",
 ]

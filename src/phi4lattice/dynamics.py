@@ -41,7 +41,6 @@ from .lattice import (
     LinearPropagator,
     TestFunction,
     build_grid,
-    laplacian,
     sample_test_function,
     weighted_pairing,
 )
@@ -53,8 +52,6 @@ __all__ = [
     "SimConfig",
     "ChainState",
     "BlowUpError",
-    "drift_phi",
-    "drift_psi",
     "step",
     "run_chain",
     "RunResult",
@@ -144,41 +141,15 @@ class SimConfig:
 
 @dataclass
 class ChainState:
-    """State of one chain: field, step index, noise stream, accumulators."""
+    """Where one chain stands: field, step index and noise stream (resume input and result)."""
 
     field: Field
     step: int
     stream: NoiseStream
 
-    def check_time(self, dt: float) -> bool:
-        return abs(self.field.time - self.step * dt) < 1e-9 * max(1.0, abs(self.field.time))
-
-
-def drift_phi(u: Field, rc: RenormConstants) -> Field:
-    """Drift of the base chain: ``lap u + (3 c1 - 9 c2) u - u^3``."""
-    lap = laplacian(u)
-    values = lap.values + rc.mass_counterterm * u.values - u.values**3
-    return Field(u.grid, values, u.time)
-
-
-def drift_psi(
-    u: Field,
-    rc: RenormConstants,
-    p: TruncatedPotential,
-    beta: float,
-    psi_eps: np.ndarray,
-) -> Field:
-    """Tilted drift: ``drift_phi(u) + beta F_n'(<iota u, psi>) psi_eps``."""
-    base = drift_phi(u, rc)
-    if beta == 0.0:
-        return base
-    x = weighted_pairing(u, psi_eps)
-    base.values += beta * p.deriv(x) * psi_eps
-    return base
-
 
 class _Stepper:
-    """Precomputed kernels for one grid/config; advances fields in place."""
+    """Precomputed kernels for one grid/config; :meth:`advance` returns the next values."""
 
     def __init__(self, cfg: SimConfig, grid: LatticeGrid):
         self.cfg = cfg
@@ -248,16 +219,17 @@ class _Stepper:
         raise AssertionError(cfg.integrator)
 
 
-def step(state: ChainState, stepper: _Stepper) -> ChainState:
-    """Advance one chain by one time step; raises :class:`BlowUpError` on overflow."""
-    cfg = stepper.cfg
-    noise = state.stream.draw(cfg.dt).values
+def step(stepper: _Stepper, values: np.ndarray, noise: np.ndarray, step_index: int) -> np.ndarray:
+    """Advance chain values (any leading batch shape) by one step driven by ``noise``.
+
+    The only place a chain step is taken; raises :class:`BlowUpError` with
+    ``step_index``, the index of the step being taken, on non-finite output.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        new_values = stepper.advance(state.field.values, noise)
-    if not np.all(np.isfinite(new_values)):
-        raise BlowUpError(state.step + 1)
-    new_field = Field(state.field.grid, new_values, (state.step + 1) * cfg.dt)
-    return ChainState(field=new_field, step=state.step + 1, stream=state.stream)
+        out = stepper.advance(values, noise)
+    if not np.all(np.isfinite(out)):
+        raise BlowUpError(step_index)
+    return out
 
 
 @dataclass
@@ -286,17 +258,16 @@ class RunResult:
             )
 
 
-def _holder_proxy(values: np.ndarray, grid: LatticeGrid, alpha: float) -> float:
+def _holder_proxy(f: Field, alpha: float) -> float:
     from .trees import holder_norm_neg  # local import to avoid a cycle
 
-    return holder_norm_neg(Field(grid, values), alpha)
+    return holder_norm_neg(f, alpha)
 
 
 def run_chain(
     cfg: SimConfig,
     initial: Field | None = None,
     resume_state: ChainState | None = None,
-    record_fields: bool = False,
 ) -> RunResult:
     """Run one chain: burn-in discarded, thinned observables recorded.
 
@@ -307,14 +278,14 @@ def run_chain(
     grid = cfg.grid()
     stepper = _Stepper(cfg, grid)
     if resume_state is not None:
-        state = resume_state
+        values, k, stream = resume_state.field.values, resume_state.step, resume_state.stream
     else:
         if initial is None:
             initial = grid.zero_field()
         elif initial.grid != grid:
             raise GridError("initial field lives on the wrong grid")
+        values, k = initial.values.copy(), 0
         stream = NoiseStream(cfg.seed, grid, stream_id=cfg.stream_id)
-        state = ChainState(field=initial.copy(), step=0, stream=stream)
 
     psi_eps = sample_test_function(cfg.test_function(), grid)
     norm_alpha = -0.5 - cfg.norm_kappa
@@ -322,17 +293,15 @@ def run_chain(
     n_steps = cfg.n_steps()
     recs: list[tuple] = []
     snapshots: list[tuple[int, Field]] = []
-    fields: list[Field] = []
-    while state.step < n_steps:
-        state = step(state, stepper)
-        k = state.step
+    while k < n_steps:
+        k += 1
+        values = step(stepper, values, stepper.noise_scale * stream.standard_normals(), k)
         if cfg.snapshot_every and k % cfg.snapshot_every == 0:
-            snapshots.append((k, state.field.copy()))
+            snapshots.append((k, Field(grid, values.copy(), k * cfg.dt)))
         if k > cfg.burn_in and (k - cfg.burn_in) % cfg.thinning == 0:
-            f = state.field
+            f = Field(grid, values, k * cfg.dt)
             x = np.float64(weighted_pairing(f, psi_eps))
-            # pre-blow-up fields may record inf/nan observables; the chain
-            # aborts with a step index on the next advance
+            # large finite fields may overflow the quartic observables to inf
             with np.errstate(over="ignore", invalid="ignore"):
                 recs.append(
                     (
@@ -341,14 +310,12 @@ def run_chain(
                         float(x),
                         float(0.25 * cfg.beta * x**4),
                         float(0.25 * cfg.beta * np.float64(sobolev_norm_sq(f, cfg.alpha)) ** 2),
-                        _holder_proxy(f.values, grid, norm_alpha),
+                        _holder_proxy(f, norm_alpha),
                     )
                 )
-            if record_fields:
-                fields.append(f.copy())
 
     arr = np.array(recs, dtype=float) if recs else np.zeros((0, 6))
-    result = RunResult(
+    return RunResult(
         cfg=cfg,
         steps=arr[:, 0],
         times=arr[:, 1],
@@ -356,12 +323,9 @@ def run_chain(
         v_obs=arr[:, 3],
         w_obs=arr[:, 4],
         c_alpha_norm=arr[:, 5],
-        final_state=state,
+        final_state=ChainState(field=Field(grid, values, k * cfg.dt), step=k, stream=stream),
         snapshots=snapshots,
     )
-    if record_fields:
-        result.fields = fields  # type: ignore[attr-defined]
-    return result
 
 
 class BatchChain:
@@ -405,11 +369,8 @@ class BatchChain:
         shape = (self.n_chains,) + self.grid.shape
         for _ in range(n_steps):
             noise = scale * self.stream.standard_normals(shape)
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.values = self.stepper.advance(self.values, noise)
+            self.values = step(self.stepper, self.values, noise, self.step_index + 1)
             self.step_index += 1
-            if not np.all(np.isfinite(self.values)):
-                raise BlowUpError(self.step_index)
 
     def pairings(self) -> np.ndarray:
         """Observable ``<iota u, psi>`` per chain."""

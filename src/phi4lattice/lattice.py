@@ -6,14 +6,10 @@ ordered lexicographically in ``(x_1, ..., x_d)``; every serialisation and
 FFT layout follows that ordering.  Coordinates in the symmetric convention
 ``[-L/2, L/2)`` are obtained through :func:`LatticeGrid.to_symmetric_coords`.
 
-Two pairings are provided and are deliberately distinct:
-
-* ``discrete_pairing(f, g) = sum_y f(y) g(y)`` (no volume weight), and
-* ``weighted_pairing(f, g) = eps^d sum_y f(y) g(y)``,
-
-the latter being the one consistent with the piecewise-constant embedding:
+Fields pair with functions through ``weighted_pairing(f, g) = eps^d sum_y
+f(y) g(y)``, the pairing consistent with the piecewise-constant embedding:
 ``<iota f, psi> = weighted_pairing(f, psi_eps)`` whenever ``psi_eps`` holds
-the cell averages of ``psi``.  Call sites must state which pairing they use.
+the cell averages of ``psi`` (:func:`sample_test_function`).
 """
 
 from __future__ import annotations
@@ -34,14 +30,10 @@ __all__ = [
     "laplacian",
     "mu_symbol",
     "LinearPropagator",
-    "discrete_pairing",
     "weighted_pairing",
-    "embed_pair",
-    "scaled_test_function",
     "sample_test_function",
     "project",
     "iota_refine",
-    "localize",
     "write_snapshot",
     "read_snapshot",
 ]
@@ -158,9 +150,6 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy(), self.time)
 
-    def check_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
 
 @dataclass(frozen=True)
 class BoxRegion:
@@ -259,12 +248,6 @@ class LinearPropagator:
         return self.ifft(self.fft(values) * mult)
 
 
-def discrete_pairing(f: Field, g: Field | np.ndarray) -> float:
-    """Unweighted pairing ``sum_y f(y) g(y)`` (no eps^d factor)."""
-    gv = _ensure_same_grid(f, g)
-    return float(np.sum(f.values * gv))
-
-
 def weighted_pairing(f: Field, g: Field | np.ndarray) -> float:
     """Volume-weighted pairing ``eps^d sum_y f(y) g(y)``.
 
@@ -292,46 +275,6 @@ def _box_integrals(grid: LatticeGrid, phi: Callable[[np.ndarray], np.ndarray]) -
         vals = phi(pts.reshape(-1, grid.d)).reshape(grid.shape)
         integrals += w * vals
     return integrals
-
-
-def embed_pair(
-    f: Field,
-    phi: Callable[[np.ndarray], np.ndarray],
-    z: Sequence[float] | None = None,
-    lam: float | None = None,
-) -> float:
-    """Pair the piecewise-constant extension of ``f`` with a test function.
-
-    Returns ``sum_y f(y) * integral over the cell of y of phi_z^lam`` where
-    ``phi_z^lam(y) = lam^-d phi((y - z)/lam)`` (spatial min-image scaling on
-    the torus) when a base point ``z`` and scale ``lam`` are given, and plain
-    ``phi`` otherwise.  Exact for per-cell-constant integrands.
-    """
-    if lam is not None:
-        if not (0.0 < lam <= f.grid.L / 2.0):
-            raise GridError(f"scale lam={lam} outside (0, L/2]")
-        phi = scaled_test_function(phi, np.asarray(z, dtype=float), lam, f.grid.L, f.grid.d)
-    integrals = _box_integrals(f.grid, phi)
-    if not np.all(np.isfinite(integrals)):
-        raise GridError("quadrature produced non-finite values (degenerate phi)")
-    return float(np.sum(f.values * integrals))
-
-
-def scaled_test_function(
-    phi: Callable[[np.ndarray], np.ndarray],
-    z: np.ndarray,
-    lam: float,
-    L: float,
-    d: int,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Return ``y -> lam^-d phi((y - z)/lam)`` with torus min-image differences."""
-
-    def shifted(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, d)
-        diff = np.mod(pts - z + L / 2.0, L) - L / 2.0
-        return lam ** (-d) * np.asarray(phi(diff / lam))
-
-    return shifted
 
 
 @dataclass(frozen=True)
@@ -406,9 +349,9 @@ class TestFunction:
 def sample_test_function(psi: TestFunction, grid: LatticeGrid) -> np.ndarray:
     """Cell averages ``psi_eps(y) = eps^-d integral over the cell of psi``.
 
-    Satisfies ``|psi_eps(y)| <= sup |psi|``; the pairing identity
-    ``weighted_pairing(f, psi_eps) == embed_pair(f, psi)`` holds by
-    construction (same quadrature rule on both sides).
+    Satisfies ``|psi_eps(y)| <= sup |psi|``, and ``weighted_pairing(f,
+    psi_eps)`` is the pairing of the piecewise-constant extension of ``f``
+    with ``psi``.
     """
     if psi.d != grid.d:
         raise GridError(f"test function dimension {psi.d} != grid dimension {grid.d}")
@@ -460,18 +403,6 @@ def project(zeta: Field | Callable[[np.ndarray], np.ndarray], grid: LatticeGrid)
         return Field(grid, v, zeta.time)
     integrals = _box_integrals(grid, zeta)
     return Field(grid, integrals / grid.eps**grid.d)
-
-
-def localize(f: Field, region: BoxRegion | None) -> Field:
-    """Zero the field outside ``region`` (multiplication by the indicator).
-
-    ``region=None`` means the whole torus (identity).  Idempotent and
-    commuting with scalar multiplication.
-    """
-    if region is None:
-        return f.copy()
-    mask = region.mask(f.grid)
-    return Field(f.grid, np.where(mask, f.values, 0.0), f.time)
 
 
 def write_snapshot(path, f: Field, seed: int = 0) -> None:

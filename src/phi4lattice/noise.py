@@ -67,10 +67,6 @@ class NoiseStream:
     def draw(self, dt: float) -> NoiseIncrement:
         return draw_increment(self, dt)
 
-    def split(self, stream_id: int) -> "NoiseStream":
-        """Fresh stream with the same seed and a distinct sub-stream id."""
-        return NoiseStream(self.seed, self.grid, stream_id=stream_id)
-
 
 def draw_increment(stream: NoiseStream, dt: float) -> NoiseIncrement:
     """Draw one increment: iid ``N(0, dt * eps^-d)`` per site."""

@@ -1,4 +1,4 @@
-"""Truncated quartic potentials and the quartic observables they generate.
+"""Truncated quartic potentials and the negative-Sobolev norm behind the W observable.
 
 ``TruncatedPotential(n)`` is the C^1 even function equal to ``x^4/4`` on
 ``|x| <= n`` and to the plateau ``n^4/4 + 1`` on ``|x| >= n+1``, joined on
@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Field, mu_symbol, weighted_pairing, TestFunction
+from .lattice import Field, mu_symbol
 
-__all__ = ["TruncatedPotential", "Observable", "eval_V", "eval_W", "sobolev_norm_sq"]
+__all__ = ["TruncatedPotential", "sobolev_norm_sq"]
 
 
 def _blend_coefficients(n: int) -> np.ndarray:
@@ -105,61 +105,16 @@ class TruncatedPotential:
     __call__ = value
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Quartic observable: pairing type 'V' or Sobolev type 'W'.
-
-    'V' is ``(beta/4) <iota f, psi>^4`` through the volume-weighted pairing
-    with the cell averages of ``psi``; 'W' is ``(beta/4)`` times the squared
-    homogeneous negative-Sobolev norm, computed as a Fourier multiplier with
-    the zero mode excluded.
-    """
-
-    kind: str
-    beta: float
-    psi: TestFunction | None = None
-    alpha: float = 0.6
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("V", "W"):
-            raise ValueError(f"observable kind must be 'V' or 'W', got {self.kind!r}")
-        if not self.beta > 0:
-            raise ValueError(f"coupling beta must be positive, got {self.beta}")
-        if self.kind == "V" and self.psi is None:
-            raise ValueError("observable 'V' requires a test function")
-        if self.kind == "W" and not self.alpha > 0:
-            raise ValueError(f"observable 'W' requires alpha > 0, got {self.alpha}")
-
-
-def eval_V(obs: Observable, f: Field, psi_eps: np.ndarray) -> float:
-    """``(beta/4) * weighted_pairing(f, psi_eps)^4``."""
-    if obs.kind != "V":
-        raise ValueError("eval_V needs an observable of kind 'V'")
-    x = weighted_pairing(f, psi_eps)
-    return 0.25 * obs.beta * x**4
-
-
-def sobolev_norm_sq(f: Field, alpha: float, symbol: str = "lattice") -> float:
+def sobolev_norm_sq(f: Field, alpha: float) -> float:
     """Squared negative-Sobolev norm ``sum_{k != 0} |fhat(k)|^2 mu(k)^-alpha``.
 
     ``fhat`` is the transform unitary for the eps^d-weighted inner product
     (``sum |fhat|^2 = eps^d sum f^2``), so at ``alpha = 0`` the value equals
-    ``eps^d sum (f - mean f)^2``.  ``symbol='continuum'`` replaces the
-    lattice dispersion by ``|2 pi k / L|^2`` for refinement studies.
+    ``eps^d sum (f - mean f)^2``.  ``phi4 run`` records its square, times
+    ``beta / 4``, as the W observable.
     """
     grid = f.grid
-    if symbol == "lattice":
-        mu = mu_symbol(grid)
-    elif symbol == "continuum":
-        n = grid.sites_per_axis
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        mu = np.zeros(grid.shape)
-        for axis in range(grid.d):
-            sh = [1] * grid.d
-            sh[axis] = n
-            mu = mu + ((2.0 * np.pi / grid.L) ** 2 * k**2).reshape(sh)
-    else:
-        raise ValueError(f"unknown symbol {symbol!r}")
+    mu = mu_symbol(grid)
     fhat = np.fft.fftn(f.values) * np.sqrt(grid.eps**grid.d / grid.n_sites)
     power = np.abs(fhat) ** 2
     mult = np.zeros_like(mu)
@@ -167,9 +122,3 @@ def sobolev_norm_sq(f: Field, alpha: float, symbol: str = "lattice") -> float:
     mult[nonzero] = mu[nonzero] ** (-alpha)
     return float(np.sum(power * mult))
 
-
-def eval_W(obs: Observable, f: Field, symbol: str = "lattice") -> float:
-    """``(beta/4) * (sobolev_norm_sq(f, alpha))^2`` with the zero mode excluded."""
-    if obs.kind != "W":
-        raise ValueError("eval_W needs an observable of kind 'W'")
-    return 0.25 * obs.beta * sobolev_norm_sq(f, obs.alpha, symbol=symbol) ** 2

@@ -17,6 +17,7 @@ time steps (``c2_discrete_time``), costs O(sites log sites) per node.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ DEFAULT_M2 = 1.0
 _TAIL, _LOG_STEP = 40.0, 0.2
 
 
+@functools.cache  # pure in the hashable (grid, m2): computed once per grid
 def compute_c1(grid: LatticeGrid, m2: float = DEFAULT_M2) -> float:
     """Tadpole constant ``L^-d sum_k [2 (mu(k) + m2)]^-1`` over all modes."""
     if not m2 > 0:
@@ -46,6 +48,7 @@ def _pair_sum(f: np.ndarray, g: np.ndarray) -> float:
     return float(np.sum(conv * g))
 
 
+@functools.cache  # pure in the hashable (grid, m2): computed once per grid
 def compute_c2(grid: LatticeGrid, m2: float = DEFAULT_M2) -> float:
     """Sunset constant ``(1/2) L^-2d sum_{k,l} [a_k a_l (a_k + a_l + a_{k+l})]^-1``.
 

@@ -229,7 +229,7 @@ def evolve_with_chain(
     is the smooth remainder.  Returns the ensemble and the stored chain
     trajectory (same decimation as the ensemble).
     """
-    from .dynamics import BlowUpError, _Stepper  # shared step kernels
+    from .dynamics import _Stepper, step  # the chain's own step
 
     grid = cfg.grid()
     if u0.grid != grid:
@@ -246,10 +246,7 @@ def evolve_with_chain(
     u_stored = []
     for k in range(1, n_steps + 1):
         eta = noise_amplitude * stepper.noise_scale * stream.standard_normals()
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = stepper.advance(u, eta)
-        if not np.all(np.isfinite(u)):
-            raise BlowUpError(k)
+        u = step(stepper, u, eta, k)
         state.step_imex(eta)
         if k % store_every == 0:
             state.store(k * cfg.dt)
@@ -397,15 +394,10 @@ def _sup_over_base_points(
     time_pad: int,
     site_stride: int,
     time_stride: int,
-    time_window: tuple[float, float] | None,
 ) -> float:
-    t_lo, t_hi = time_pad, values.shape[0] - time_pad
-    t_idx = np.arange(t_lo, t_hi, time_stride)
-    if time_window is not None:
-        keep = (ens.times[t_idx] >= time_window[0]) & (ens.times[t_idx] <= time_window[1])
-        t_idx = t_idx[keep]
+    t_idx = np.arange(time_pad, values.shape[0] - time_pad, time_stride)
     if len(t_idx) == 0:
-        raise ValueError("time window not covered by the stored trajectory")
+        raise ValueError("no stored time lies clear of the kernel's time support")
     sub = np.abs(values[t_idx])
     spatial = (slice(None, None, site_stride),) * ens.grid.d
     sub = sub[(slice(None),) + spatial]
@@ -413,8 +405,31 @@ def _sup_over_base_points(
         mask = domain.mask(ens.grid)[spatial]
         if not mask.any():
             raise ValueError("localisation domain contains no base points")
-        sub = sub[:, mask] if ens.grid.d > 1 else sub[:, mask]
+        sub = sub[:, mask]
     return float(np.max(sub))
+
+
+def scale_profile(
+    tau: str,
+    ens: TreeEnsemble,
+    kernels: DyadicKernelFamily,
+    kappa: float,
+    domain: BoxRegion | None = None,
+    site_stride: int = 2,
+    time_stride: int = 4,
+) -> np.ndarray:
+    """Per-scale values ``lam^e * sup |...|`` over decimated base points.
+
+    Base points run over every ``site_stride``-th site and every
+    ``time_stride``-th stored time, restricted to ``domain`` (spatial box)
+    when given.
+    """
+    e = seminorm_exponent(tau, kappa)
+    return np.array([
+        lam**e * _sup_over_base_points(_base_point_values(ens, kernels, tau, idx), ens, domain,
+                                       kernels.time_pad(idx), site_stride, time_stride)
+        for idx, lam in enumerate(kernels.scales)
+    ])
 
 
 def seminorm(
@@ -425,49 +440,17 @@ def seminorm(
     domain: BoxRegion | None = None,
     site_stride: int = 2,
     time_stride: int = 4,
-    time_window: tuple[float, float] | None = None,
 ) -> float:
-    """Dyadic-scale seminorm of one tree over decimated base points.
+    """Dyadic-scale seminorm of one tree: the maximum of its :func:`scale_profile`.
 
-    Base points run over every ``site_stride``-th site and every
-    ``time_stride``-th stored time, restricted to ``domain`` (spatial box)
-    and ``time_window`` when given.  For ``tau='1'`` this returns the
-    time-sup of the negative-Holder proxy norm at regularity -1/2-kappa.
+    For ``tau='1'`` this returns the time-sup of the negative-Holder proxy
+    norm at regularity -1/2-kappa.
     """
     if not 0.0 < kappa < 0.25:
         raise ValueError(f"kappa must lie in (0, 1/4), got {kappa}")
     if tau == "1":
-        return holder_seminorm_one(ens, kappa, domain=domain, time_stride=time_stride,
-                                   time_window=time_window)
-    best = 0.0
-    e = seminorm_exponent(tau, kappa)
-    for idx, lam in enumerate(kernels.scales):
-        vals = _base_point_values(ens, kernels, tau, idx)
-        sup = _sup_over_base_points(
-            vals, ens, domain, kernels.time_pad(idx), site_stride, time_stride, time_window
-        )
-        best = max(best, lam**e * sup)
-    return best
-
-
-def scale_profile(
-    tau: str,
-    ens: TreeEnsemble,
-    kernels: DyadicKernelFamily,
-    kappa: float,
-    site_stride: int = 2,
-    time_stride: int = 4,
-) -> np.ndarray:
-    """Per-scale values ``lam^e * sup |...|`` for the exponent audit."""
-    e = seminorm_exponent(tau, kappa)
-    out = []
-    for idx, lam in enumerate(kernels.scales):
-        vals = _base_point_values(ens, kernels, tau, idx)
-        sup = _sup_over_base_points(
-            vals, ens, None, kernels.time_pad(idx), site_stride, time_stride, None
-        )
-        out.append(lam**e * sup)
-    return np.array(out)
+        return holder_seminorm_one(ens, kappa, domain=domain, time_stride=time_stride)
+    return float(np.max(scale_profile(tau, ens, kernels, kappa, domain, site_stride, time_stride)))
 
 
 @dataclass
@@ -536,13 +519,14 @@ def holder_norm_neg(f: Field, alpha: float, domain: BoxRegion | None = None) -> 
     grid = f.grid
     fhat = np.fft.fftn(f.values)
     mask_dom = domain.mask(grid) if domain is not None else None
-    best = 0.0
-    for j, mask in enumerate(_block_masks(grid)):
+    masks = _block_masks(grid)
+    terms = np.empty(len(masks))
+    for j, mask in enumerate(masks):
         block = np.fft.ifftn(fhat * mask).real
         if mask_dom is not None:
             block = block[mask_dom]
-        best = max(best, 2.0 ** (j * alpha) * float(np.max(np.abs(block))))
-    return best
+        terms[j] = 2.0 ** (j * alpha) * float(np.max(np.abs(block)))
+    return float(terms.max())  # NaN in f propagates
 
 
 def holder_seminorm_one(
@@ -550,15 +534,9 @@ def holder_seminorm_one(
     kappa: float,
     domain: BoxRegion | None = None,
     time_stride: int = 1,
-    time_window: tuple[float, float] | None = None,
 ) -> float:
     """``sup_t || tree1(t) ||_{C^{-1/2-kappa}}`` over the stored times."""
     alpha = -0.5 - kappa
-    t_idx = np.arange(0, ens.n_times, time_stride)
-    if time_window is not None:
-        keep = (ens.times[t_idx] >= time_window[0]) & (ens.times[t_idx] <= time_window[1])
-        t_idx = t_idx[keep]
-    best = 0.0
-    for t in t_idx:
-        best = max(best, holder_norm_neg(Field(ens.grid, ens.stored["1"][t]), alpha, domain))
-    return best
+    norms = [holder_norm_neg(Field(ens.grid, ens.stored["1"][t]), alpha, domain)
+             for t in range(0, ens.n_times, time_stride)]
+    return float(np.max(norms, initial=0.0))

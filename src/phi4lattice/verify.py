@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import BatchChain, SimConfig, _Stepper
+from .dynamics import BatchChain, BlowUpError, SimConfig, _Stepper, step
 from .lattice import (
     BoxRegion,
     Field,
@@ -506,7 +506,9 @@ def convergence_study(
     and started from the box-average projection of one common initial
     condition.  Reports, per level, the sup over recorded times of the
     negative-Holder proxy distance between the embedded level field and the
-    reference field, and the RMS pairing distance.
+    reference field, and the RMS pairing distance.  A level whose chain
+    blows up is listed in ``blown_up`` and dropped; a blow-up of the
+    reference chain raises :class:`BlowUpError`.
     """
     levels = tuple(sorted(levels))
     if levels[-1] >= n_ref:
@@ -547,16 +549,13 @@ def convergence_study(
 
     for k in range(1, n_steps + 1):
         inc = NoiseIncrement(grid_ref, dt, stepper_ref.noise_scale * stream.standard_normals())
-        u_ref = stepper_ref.advance(u_ref.copy(), inc.values)
+        u_ref = step(stepper_ref, u_ref, inc.values, k)
         for n in levels:
             if n in blown:
                 continue
-            eta = coarsen(inc, levels=n_ref - n).values
             try:
-                states[n] = steppers[n].advance(states[n], eta)
-                if not np.all(np.isfinite(states[n])):
-                    raise RuntimeError
-            except Exception:
+                states[n] = step(steppers[n], states[n], coarsen(inc, levels=n_ref - n).values, k)
+            except BlowUpError:
                 blown.add(n)
         if k % record_every == 0 and k > burn_steps:
             n_rec += 1
@@ -691,24 +690,6 @@ class LacunaryFunction:
         if self.include_constant:
             out += 1.0
         return out
-
-    def pairing(self, profile: Callable, x: float, lam: float, n_quad: int = 4096) -> float:
-        """Exact ``<zeta, profile((. - x)/lam)/lam>`` by dense quadrature in v."""
-        amps, freqs, phases = self._components()
-        v = (np.arange(n_quad) + 0.5) / n_quad * 2.0 - 1.0
-        pv = profile(v)
-        dv = 2.0 / n_quad
-        total = 0.0
-        for a, f, th in zip(amps, freqs, phases):
-            cos_part = np.sum(pv * np.cos(2.0 * np.pi * f * lam * v)) * dv
-            sin_part = np.sum(pv * np.sin(2.0 * np.pi * f * lam * v)) * dv
-            total += a * (
-                math.cos(2.0 * np.pi * f * x + th) * cos_part
-                - math.sin(2.0 * np.pi * f * x + th) * sin_part
-            )
-        if self.include_constant:
-            total += np.sum(pv) * dv
-        return float(total)
 
 
 def _dictionary_profiles() -> list[Callable]:

@@ -9,74 +9,62 @@ from phi4lattice.dynamics import (
     ChainState,
     SimConfig,
     _Stepper,
-    drift_phi,
-    drift_psi,
     run_chain,
     step,
 )
-from phi4lattice.lattice import Field, build_grid, laplacian, mu_symbol, sample_test_function
+from phi4lattice.lattice import Field, build_grid, laplacian, mu_symbol
 from phi4lattice.noise import NoiseStream
-from phi4lattice.potential import TruncatedPotential
-from phi4lattice.renorm import RenormConstants, compute_c1
+from phi4lattice.renorm import compute_c1
 
 
 def grid1(n=4):
     return build_grid(1, 1.0, n)
 
 
+def drift(n=4, **kw):
+    """The drift the integrators run, for a d=1 chain on 2^n sites."""
+    cfg = SimConfig(d=1, L=1.0, N=n, **kw)
+    return _Stepper(cfg, cfg.grid())
+
+
 class TestDrifts:
     def test_zero_field(self):
-        g = grid1()
-        rc = RenormConstants.for_grid(g)
-        assert np.all(drift_phi(g.zero_field(), rc).values == 0.0)
+        st = drift()
+        assert np.all(st.full_drift(np.zeros(st.grid.shape)) == 0.0)
 
     def test_constant_field(self):
-        g = grid1()
-        rc = RenormConstants.for_grid(g)
+        st = drift()
         c = 1.3
-        out = drift_phi(Field(g, np.full(g.shape, c)), rc)
-        expected = rc.mass_counterterm * c - c**3
-        assert np.allclose(out.values, expected, rtol=1e-14)
+        out = st.full_drift(np.full(st.grid.shape, c))
+        expected = st.rc.mass_counterterm * c - c**3
+        assert np.allclose(out, expected, rtol=1e-14)
 
     def test_sitewise_oracle(self):
-        g = build_grid(1, 1.0, 3)
-        rc = RenormConstants.for_grid(g)
+        st = drift(3)
         rng = np.random.default_rng(3)
-        u = Field(g, rng.standard_normal(g.shape))
+        u = Field(st.grid, rng.standard_normal(st.grid.shape))
         lap = laplacian(u).values
-        expected = lap + rc.mass_counterterm * u.values - u.values**3
-        assert np.allclose(drift_phi(u, rc).values, expected, rtol=1e-14)
+        expected = lap + st.rc.mass_counterterm * u.values - u.values**3
+        assert np.allclose(st.full_drift(u.values), expected, rtol=1e-14)
 
     def test_psi_beta_zero_reduces(self):
-        g = grid1()
-        rc = RenormConstants.for_grid(g)
-        p = TruncatedPotential(3)
-        psi_eps = np.ones(g.shape) * 0.2
         rng = np.random.default_rng(4)
-        u = Field(g, rng.standard_normal(g.shape))
-        assert np.array_equal(
-            drift_psi(u, rc, p, 0.0, psi_eps).values, drift_phi(u, rc).values
-        )
+        u = rng.standard_normal(grid1().shape)
+        assert np.array_equal(drift(beta=0.0, potential_n=3).full_drift(u), drift().full_drift(u))
 
     def test_psi_plateau_region(self):
-        g = grid1()
-        rc = RenormConstants.for_grid(g)
-        p = TruncatedPotential(2)
-        psi_eps = np.ones(g.shape)
-        u = Field(g, np.full(g.shape, 10.0))  # pairing = 10 > n+1
-        tilted = drift_psi(u, rc, p, 0.5, psi_eps)
-        assert np.array_equal(tilted.values, drift_phi(u, rc).values)
+        tilted = drift(beta=0.5, potential_n=2)
+        u = np.full(tilted.grid.shape, 1000.0)
+        assert tilted.grid.eps * np.sum(u * tilted.psi_eps) > 3.0  # pairing beyond n+1
+        assert np.array_equal(tilted.full_drift(u), drift().full_drift(u))
 
     def test_psi_untruncated_oracle(self):
-        g = grid1()
-        rc = RenormConstants.for_grid(g)
-        p = TruncatedPotential(math.inf)
+        tilted = drift(beta=0.7, potential_n=math.inf)
         rng = np.random.default_rng(5)
-        psi_eps = rng.uniform(0, 1, g.shape)
-        u = Field(g, rng.standard_normal(g.shape))
-        x = g.eps * np.sum(u.values * psi_eps)
-        expected = drift_phi(u, rc).values + 0.7 * x**3 * psi_eps
-        assert np.allclose(drift_psi(u, rc, p, 0.7, psi_eps).values, expected, rtol=1e-13)
+        u = rng.standard_normal(tilted.grid.shape)
+        x = tilted.grid.eps * np.sum(u * tilted.psi_eps)
+        expected = drift().full_drift(u) + 0.7 * x**3 * tilted.psi_eps
+        assert np.allclose(tilted.full_drift(u), expected, rtol=1e-13)
 
 
 class TestStep:
@@ -123,6 +111,15 @@ class TestStep:
         a = run_chain(cfg).final_state.field.values
         b = run_chain(cfg).final_state.field.values
         assert a.tobytes() == b.tobytes()
+
+    def test_step_reports_its_index(self):
+        st = drift(dt=0.5)
+        with pytest.raises(BlowUpError) as err:
+            step(st, np.full((2,) + st.grid.shape, 1e200), np.zeros((2,) + st.grid.shape), 7)
+        assert err.value.step_index == 7
+        u = np.ones(st.grid.shape)
+        assert np.array_equal(step(st, u, np.zeros(st.grid.shape), 1),
+                              st.advance(u, np.zeros(st.grid.shape)))
 
     def test_blow_up_reported(self):
         cfg = SimConfig(d=1, L=1.0, N=4, dt=0.5, t_end=5.0, seed=1)
@@ -194,7 +191,8 @@ class TestRunChain:
         cfg = SimConfig(d=1, L=1.0, N=4, dt=0.025, t_end=0.5, seed=4)
         res = run_chain(cfg)
         assert res.final_state.field.time == pytest.approx(0.5)
-        assert res.final_state.check_time(cfg.dt)
+        assert res.final_state.step == cfg.n_steps()
+        assert np.array_equal(res.times, res.steps * cfg.dt)
 
 
 class TestGaussianMode:

@@ -9,11 +9,8 @@ from phi4lattice.lattice import (
     LatticeGrid,
     TestFunction as Bump,
     build_grid,
-    discrete_pairing,
-    embed_pair,
     iota_refine,
     laplacian,
-    localize,
     mu_symbol,
     project,
     read_snapshot,
@@ -118,44 +115,50 @@ class TestPairings:
     def test_unit_example(self):
         g = build_grid(2, 1.0, 2)
         ones = Field(g, np.ones(g.shape))
-        assert discrete_pairing(ones, ones.values) == 16.0
         assert weighted_pairing(ones, ones.values) == pytest.approx(1.0, rel=1e-14)
 
     def test_scalar_product_oracle(self):
         g = build_grid(1, 1.0, 3)
         f, h = random_field(g, 5), random_field(g, 6)
-        assert discrete_pairing(f, h.values) == pytest.approx(
-            dot_loops(f.values, h.values), rel=1e-12
+        assert weighted_pairing(f, h.values) == pytest.approx(
+            g.eps * dot_loops(f.values, h.values), rel=1e-12
         )
 
     def test_grid_mismatch(self):
         f = random_field(build_grid(1, 1.0, 3))
         h = random_field(build_grid(1, 1.0, 4))
         with pytest.raises(GridError):
-            discrete_pairing(f, h)
+            weighted_pairing(f, h)
 
     def test_weighted_equals_embed_through_samples(self):
+        # <iota f, psi> by an independent midpoint rule on a 16x finer grid
         g = build_grid(2, 1.0, 3)
         psi = Bump.bump(2, center=(0.5, 0.5), radius=0.3)
         psi_eps = sample_test_function(psi, g)
         f = random_field(g, 7)
-        lhs = weighted_pairing(f, psi_eps)
-        rhs = embed_pair(f, lambda pts: psi(pts, L=g.L))
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
+        fine = iota_refine(f, 4)
+        psi_fine = psi(fine.grid.site_coords().reshape(-1, 2), L=g.L).reshape(fine.grid.shape)
+        rhs = fine.grid.eps**2 * np.sum(fine.values * psi_fine)
+        scale = weighted_pairing(Field(g, np.abs(f.values)), psi_eps)
+        assert abs(weighted_pairing(f, psi_eps) - rhs) <= 1e-3 * scale
 
 
 class TestEmbedPair:
+    """``<iota f, psi>`` is ``weighted_pairing(f, psi_eps)`` with ``psi_eps`` the cell averages."""
+
     def test_zero_field(self):
         g = build_grid(1, 1.0, 3)
-        assert embed_pair(g.zero_field(), lambda pts: np.ones(len(pts))) == 0.0
+        psi_eps = sample_test_function(Bump.bump(1, center=(0.5,), radius=0.3), g)
+        assert weighted_pairing(g.zero_field(), psi_eps) == 0.0
 
     def test_partition_of_unity(self):
         g = build_grid(1, 1.0, 4)
         psi = Bump.bump(1, center=(0.5,), radius=0.3)
+        psi_eps = sample_test_function(psi, g)
         c = 2.5
         f = Field(g, np.full(g.shape, c))
-        total_mass = embed_pair(Field(g, np.ones(g.shape)), lambda p: psi(p, L=g.L))
-        assert embed_pair(f, lambda p: psi(p, L=g.L)) == pytest.approx(c * total_mass, rel=1e-13)
+        total_mass = weighted_pairing(Field(g, np.ones(g.shape)), psi_eps)
+        assert weighted_pairing(f, psi_eps) == pytest.approx(c * total_mass, rel=1e-13)
         assert total_mass == pytest.approx(psi.integral(g.L, n_points=2048), rel=1e-3)
 
     def test_single_site_box_volume(self):
@@ -163,20 +166,8 @@ class TestEmbedPair:
         v = np.zeros(g.shape)
         v[1, 2, 3] = 1.0
         f = Field(g, v)
-        assert embed_pair(f, lambda pts: np.ones(len(pts))) == pytest.approx(
-            g.eps**3, rel=1e-13
-        )
-
-    def test_scaled_base_point(self):
-        g = build_grid(1, 1.0, 5)
-        psi = Bump.bump(1, center=(0.0,), radius=1.0, amplitude=0.4)
-        f = Field(g, np.ones(g.shape))
-        val = embed_pair(f, lambda p: psi(p, L=None), z=(0.5,), lam=0.25)
-        # lam^-1-scaled profile integrates to the same total mass
-        ref = embed_pair(f, lambda p: psi(p, L=None), z=(0.5,), lam=0.125)
-        assert val == pytest.approx(ref, rel=1e-3)
-        with pytest.raises(GridError):
-            embed_pair(f, lambda p: psi(p), z=(0.5,), lam=0.75)
+        one_eps = project(lambda pts: np.ones(len(pts)), g).values
+        assert weighted_pairing(f, one_eps) == pytest.approx(g.eps**3, rel=1e-13)
 
 
 class TestProject:
@@ -250,37 +241,22 @@ class TestBumpFunction:
 
 
 class TestLocalize:
+    """Localisation to a box is multiplication by ``BoxRegion.mask``."""
+
     def test_whole_torus_identity(self):
         g = build_grid(2, 1.0, 3)
-        f = random_field(g, 3)
-        assert np.array_equal(localize(f, None).values, f.values)
-        whole = BoxRegion((-0.5, -0.5), (0.5, 0.5))
-        assert np.array_equal(localize(f, whole).values, f.values)
+        assert np.all(BoxRegion((-0.5, -0.5), (0.5, 0.5)).mask(g))
 
     def test_empty_region(self):
         g = build_grid(2, 1.0, 3)
-        f = random_field(g, 3)
         off_site = BoxRegion((0.001, 0.001), (0.002, 0.002))
-        assert np.all(localize(f, off_site).values == 0.0)
+        assert not np.any(off_site.mask(g))
 
     def test_half_torus_mask_oracle(self):
         g = build_grid(1, 1.0, 4)
-        f = random_field(g, 11)
-        region = BoxRegion((-0.5,), (0.0,))
-        got = localize(f, region).values
+        got = BoxRegion((-0.5,), (0.0,)).mask(g)
         sym = g.to_symmetric_coords(g.axis_coords())
-        expected = np.where((sym >= -0.5) & (sym <= 0.0), f.values, 0.0)
-        assert np.array_equal(got, expected)
-
-    def test_idempotent_and_scalar_commute(self):
-        g = build_grid(2, 1.0, 3)
-        f = random_field(g, 4)
-        region = BoxRegion((-0.25, -0.4), (0.3, 0.1))
-        once = localize(f, region)
-        twice = localize(once, region)
-        assert np.array_equal(once.values, twice.values)
-        scaled = localize(Field(g, 3.0 * f.values), region)
-        assert np.array_equal(scaled.values, 3.0 * once.values)
+        assert np.array_equal(got, (sym >= -0.5) & (sym <= 0.0))
 
 
 class TestSnapshot:

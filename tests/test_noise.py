@@ -53,7 +53,7 @@ class TestDraw:
     def test_substream_split(self):
         g = build_grid(1, 1.0, 3)
         s = NoiseStream(5, g)
-        t = s.split(stream_id=9)
+        t = NoiseStream(s.seed, g, stream_id=9)
         assert t.seed == 5 and t.stream_id == 9 and t.counter == 0
         assert not np.array_equal(s.draw(0.1).values, t.draw(0.1).values)
 

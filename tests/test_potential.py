@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phi4lattice.lattice import Field, TestFunction as Bump, build_grid, sample_test_function
-from phi4lattice.potential import (
-    Observable,
-    TruncatedPotential,
-    eval_V,
-    eval_W,
-    sobolev_norm_sq,
-)
+from phi4lattice.lattice import Field, build_grid, mu_symbol
+from phi4lattice.potential import TruncatedPotential, sobolev_norm_sq
 
 from oracles import central_difference
 
@@ -83,50 +77,22 @@ class TestTruncatedPotential:
 
 
 class TestObservables:
-    def _setup(self):
-        g = build_grid(1, 1.0, 4)
-        psi = Bump.bump(1, center=(0.5,), radius=0.3)
-        return g, psi, sample_test_function(psi, g)
-
-    def test_eval_v_zero_field(self):
-        g, psi, psi_eps = self._setup()
-        obs = Observable("V", beta=0.4, psi=psi)
-        assert eval_V(obs, g.zero_field(), psi_eps) == 0.0
-
-    def test_eval_v_constant_field(self):
-        g, psi, psi_eps = self._setup()
-        obs = Observable("V", beta=0.4, psi=psi)
-        f = Field(g, np.full(g.shape, 1.0))
-        s = g.eps * np.sum(psi_eps)  # = integral of psi over the torus
-        assert eval_V(obs, f, psi_eps) == pytest.approx(0.1 * s**4, rel=1e-12)
-        assert s == pytest.approx(psi.integral(g.L, 4096), rel=1e-3)
-
-    def test_eval_v_sign_invariance(self):
-        g, psi, psi_eps = self._setup()
-        obs = Observable("V", beta=0.7, psi=psi)
-        rng = np.random.default_rng(0)
-        f = Field(g, rng.standard_normal(g.shape))
-        neg = Field(g, -f.values)
-        assert eval_V(obs, f, psi_eps) == eval_V(obs, neg, psi_eps)
+    """``sobolev_norm_sq``, squared and times beta/4, is the W column of ``phi4 run``."""
 
     def test_eval_w_constant_is_zero(self):
         g = build_grid(2, 1.0, 3)
-        obs = Observable("W", beta=0.3, alpha=0.8)
         f = Field(g, np.full(g.shape, 2.0))
-        assert eval_W(obs, f) == pytest.approx(0.0, abs=1e-20)
+        assert sobolev_norm_sq(f, alpha=0.8) == pytest.approx(0.0, abs=1e-20)
 
     def test_eval_w_single_mode(self):
-        from phi4lattice.lattice import mu_symbol
-
         g = build_grid(1, 1.0, 4)
-        alpha, beta, a, k = 0.8, 0.3, 1.7, 3
+        alpha, a, k = 0.8, 1.7, 3
         x = g.axis_coords()
         f = Field(g, a * np.cos(2 * np.pi * k * x))
         mu = mu_symbol(g)
         # |fhat|^2 at +-k: unitary-in-eps^d transform of a*cos: total power a^2 eps^d n / 2
         inner = a**2 / 2.0 * g.eps * g.sites_per_axis * mu[k] ** (-alpha)
-        obs = Observable("W", beta=beta, alpha=alpha)
-        assert eval_W(obs, f) == pytest.approx(0.25 * beta * inner**2, rel=1e-10)
+        assert sobolev_norm_sq(f, alpha) == pytest.approx(inner, rel=1e-10)
 
     def test_parseval_alpha_zero(self):
         g = build_grid(2, 1.0, 3)
@@ -135,25 +101,6 @@ class TestObservables:
         inner = sobolev_norm_sq(f, alpha=0.0)
         centered = f.values - f.values.mean()
         assert inner == pytest.approx(g.eps**2 * np.sum(centered**2), abs=1e-10)
-
-    def test_continuum_symbol_variant(self):
-        g = build_grid(1, 1.0, 5)
-        rng = np.random.default_rng(2)
-        f = Field(g, rng.standard_normal(g.shape))
-        lattice = sobolev_norm_sq(f, alpha=0.5, symbol="lattice")
-        cont = sobolev_norm_sq(f, alpha=0.5, symbol="continuum")
-        assert lattice != cont
-        assert lattice == pytest.approx(cont, rel=0.5)  # same order, different dispersion
-
-    def test_observable_validation(self):
-        with pytest.raises(ValueError):
-            Observable("X", beta=0.1)
-        with pytest.raises(ValueError):
-            Observable("V", beta=0.0, psi=Bump.bump(1))
-        with pytest.raises(ValueError):
-            Observable("V", beta=0.1, psi=None)
-        with pytest.raises(ValueError):
-            Observable("W", beta=0.1, alpha=0.0)
 
 
 @given(st.integers(2, 12), st.floats(-8.0, 8.0, allow_nan=False))

@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+from phi4lattice import renorm
 from phi4lattice.lattice import build_grid, mu_symbol
 from phi4lattice.renorm import (
     RenormConstants,
@@ -11,6 +12,7 @@ from phi4lattice.renorm import (
     compute_c2,
 )
 from phi4lattice.trees import evolve_trees
+from phi4lattice.verify import check_apriori
 
 from oracles import sunset_sum_loops
 
@@ -142,3 +144,20 @@ class TestRenormConstants:
             g = build_grid(d, 1.0, n)
             assert compute_c1(g, 1.0) > 0
             assert compute_c2(g, 1.0) > 0
+
+    def test_sunset_computed_once_per_grid(self, monkeypatch):
+        # every chain and tree ensemble of a d=3 battery reuses one sunset sum
+        sums = []
+        pair_sum = renorm._pair_sum
+        monkeypatch.setattr(renorm, "_pair_sum", lambda f, g: sums.append(1) or pair_sum(f, g))
+        grid = build_grid(3, 1.0, 2)
+        compute_c2.cache_clear()
+        compute_c2(grid, 1.0)
+        per_call = len(sums)
+        assert per_call > 0
+        compute_c1.cache_clear()
+        compute_c2.cache_clear()
+        sums.clear()
+        check_apriori(d=3, N=2, dt=0.02, magnitudes=(1.0, 1e3), seeds=(0,))
+        assert len(sums) == per_call
+

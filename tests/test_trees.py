@@ -253,6 +253,21 @@ class TestHolderProxy:
         g = build_grid(1, 1.0, 4)
         assert holder_norm_neg(g.zero_field(), -0.7) == 0.0
 
+    def test_non_finite_field_propagates(self):
+        g = build_grid(1, 1.0, 4)
+        for bad in (np.nan, np.inf):
+            v = np.zeros(g.shape)
+            v[3] = bad
+            with np.errstate(invalid="ignore"):
+                assert not np.isfinite(holder_norm_neg(Field(g, v), -0.7))
+
+    def test_report_sees_blown_up_tree1(self):
+        ens = small_ensemble(seed=23, n_steps=16, c2=0.1)
+        ens.stored["1"][8:, 2] = np.nan  # from a blow-up on
+        kern = DyadicKernelFamily(ens.grid, store_dt=ens.dt)
+        with pytest.raises(RuntimeError, match=r"\[1\]"):
+            seminorm_report(ens, kern, 0.2)
+
     def test_single_mode(self):
         g = build_grid(1, 1.0, 5)
         a, k = 1.3, 5  # block j=3 holds |k| in [4, 8)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from phi4lattice.dynamics import BlowUpError
 from phi4lattice.lattice import Field, GridError, build_grid
 from phi4lattice.verify import (
     BoundReport,
@@ -95,6 +96,11 @@ class TestConvergence:
                                  t_end=0.5, seed=2, record_every=4)
         assert conv.distances_decreasing(strict=True)
         assert not conv.blown_up
+
+    def test_reference_blow_up_raises(self):
+        with pytest.raises(BlowUpError):
+            convergence_study(levels=(2, 3), n_ref=4, dt=0.01, t_end=0.4,
+                              initial=lambda c: 100.0 * np.ones(c.shape[:-1]))
 
     def test_linear_mode_matches_exact_oracle(self):
         dt, t_end = 5e-3, 8.0
