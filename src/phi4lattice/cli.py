@@ -16,7 +16,6 @@ import difflib
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -168,25 +167,6 @@ def sim_config(values: dict, stream_id: int = 0) -> SimConfig:
     )
 
 
-def worker_count() -> int:
-    raw = os.environ.get("PHI4_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    """Map over independent battery entries, bounded by PHI4_THREADS."""
-    workers = min(worker_count(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -289,9 +269,9 @@ def cmd_run(args) -> int:
 
 
 def _collect_pairings(values: dict, beta: float, stream_id: int) -> SampleSet:
+    values = {**values, "dynamics.beta": beta}
+    _validate(values)
     cfg = sim_config(values, stream_id=stream_id)
-    cfg.beta = beta
-    cfg.validate()
     batch = BatchChain(cfg, n_chains=values["stats.n_chains"])
     batch.advance(values["stats.burn_steps"])
     records = batch.sample_pairings(values["stats.n_records"], values["stats.record_stride"])
@@ -330,8 +310,8 @@ def cmd_stats(args) -> int:
         }
         ok = plateau.plateau_ok and plateau.monotone_within_ci
     elif args.suite == "density":
+        psi_samples = _collect_pairings(values, beta=beta, stream_id=2)  # validates the tilt first
         phi_samples = _collect_pairings(values, beta=0.0, stream_id=1)
-        psi_samples = _collect_pairings(values, beta=beta, stream_id=2)
         cross = density_cross_check(phi_samples, psi_samples, np.tanh, p, beta)
         report["density"] = {
             "a": cross.a, "se_a": cross.se_a, "b": cross.b, "se_b": cross.se_b,
@@ -388,17 +368,11 @@ def cmd_verify(args) -> int:
         report["report"] = battery.as_dict()
         ok = battery.passed
     elif args.suite == "apriori":
-        batteries = _parallel_map(
-            lambda s: check_apriori(
-                d=values["grid.d"], L=values["grid.L"], N=values["grid.N"],
-                dt=values["dt"], R=values["verify.R"], kappa=kappa,
-                seeds=(s,), c_max=values["verify.c_max"],
-            ),
-            seeds,
+        battery = check_apriori(
+            d=values["grid.d"], L=values["grid.L"], N=values["grid.N"],
+            dt=values["dt"], R=values["verify.R"], kappa=kappa,
+            seeds=seeds, c_max=values["verify.c_max"],
         )
-        battery = batteries[0]
-        for extra in batteries[1:]:
-            battery.entries.extend(extra.entries)
         report["report"] = battery.as_dict()
         ok = battery.passed
     elif args.suite == "apriori-local":

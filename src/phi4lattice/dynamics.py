@@ -42,6 +42,7 @@ from .lattice import (
     TestFunction,
     build_grid,
     sample_test_function,
+    stencil_laplacian,
     weighted_pairing,
 )
 from .noise import NoiseStream
@@ -90,7 +91,6 @@ class SimConfig:
     snapshot_every: int = 0
     beta: float = 0.0
     potential_n: float = math.inf
-    psi_center: tuple[float, ...] | None = None
     psi_radius: float = 0.35
     c1_offset: float = 0.0
     c2_offset: float = 0.0
@@ -116,6 +116,8 @@ class SimConfig:
                     f"explicit integrator violates the CFL bound dt <= eps^2/(2d) "
                     f"= {cfl:.3e} (got dt = {self.dt:.3e})"
                 )
+        if self.quadratic and self.beta != 0.0:
+            raise ValueError("the quadratic test mode has no tilt: beta must be 0")
         if self.integrator == "exact_gaussian" and not self.quadratic:
             raise ValueError("exact_gaussian integration applies to the quadratic test mode only")
         if self.thinning < 1:
@@ -130,8 +132,7 @@ class SimConfig:
         return int(round(self.t_end / self.dt))
 
     def test_function(self) -> TestFunction:
-        center = self.psi_center if self.psi_center is not None else (self.L / 2.0,) * self.d
-        return TestFunction.bump(self.d, center=center, radius=self.psi_radius)
+        return TestFunction.bump(self.d, center=(self.L / 2.0,) * self.d, radius=self.psi_radius)
 
     def renorm(self, grid: LatticeGrid) -> RenormConstants:
         return RenormConstants.for_grid(
@@ -158,7 +159,7 @@ class _Stepper:
         self.noise_scale = self.prop.noise_scale
         self.rc = cfg.renorm(grid)
         self.quadratic = cfg.quadratic
-        if cfg.beta != 0.0 and not cfg.quadratic:
+        if cfg.beta != 0.0:
             self.psi_eps: np.ndarray | None = sample_test_function(cfg.test_function(), grid)
             self.potential = TruncatedPotential(cfg.potential_n)
         else:
@@ -184,10 +185,7 @@ class _Stepper:
         return out
 
     def full_drift(self, values: np.ndarray) -> np.ndarray:
-        lap = np.zeros_like(values)
-        for axis in range(1, self.grid.d + 1):
-            lap += np.roll(values, 1, axis=-axis) + np.roll(values, -1, axis=-axis) - 2.0 * values
-        lap /= self.grid.eps**2
+        lap = stencil_laplacian(values, self.grid.d, self.grid.eps)
         if self.quadratic:
             return lap - self.cfg.m2 * values
         out = lap + self.rc.mass_counterterm * values - values**3

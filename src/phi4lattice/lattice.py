@@ -14,6 +14,7 @@ the cell averages of ``psi`` (:func:`sample_test_function`).
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -29,6 +30,8 @@ __all__ = [
     "build_grid",
     "laplacian",
     "mu_symbol",
+    "Spectrum",
+    "spectrum",
     "LinearPropagator",
     "weighted_pairing",
     "sample_test_function",
@@ -178,17 +181,24 @@ def _ensure_same_grid(f: Field, g: Field | np.ndarray) -> np.ndarray:
     return g
 
 
+def stencil_laplacian(values: np.ndarray, d: int, eps: float) -> np.ndarray:
+    """Nearest-neighbour Laplacian over the trailing ``d`` axes, periodic.
+
+    A leading batch axis passes through.
+    """
+    out = np.zeros_like(values)
+    for axis in range(1, d + 1):
+        out += np.roll(values, 1, axis=-axis) + np.roll(values, -1, axis=-axis) - 2.0 * values
+    out /= eps**2
+    return out
+
+
 def laplacian(f: Field) -> Field:
     """Nearest-neighbour Laplacian with periodic wraparound.
 
     ``(lap f)(x) = eps^-2 sum_i [f(x+eps e_i) + f(x-eps e_i) - 2 f(x)]``.
     """
-    v = f.values
-    out = np.zeros_like(v)
-    for axis in range(f.grid.d):
-        out += np.roll(v, 1, axis=axis) + np.roll(v, -1, axis=axis) - 2.0 * v
-    out /= f.grid.eps**2
-    return Field(f.grid, out, f.time)
+    return Field(f.grid, stencil_laplacian(f.values, f.grid.d, f.grid.eps), f.time)
 
 
 def mu_symbol(grid: LatticeGrid) -> np.ndarray:
@@ -209,33 +219,22 @@ def mu_symbol(grid: LatticeGrid) -> np.ndarray:
     return total
 
 
-class LinearPropagator:
-    """Fourier multipliers of ``A = -laplacian + m2`` for one grid and step ``dt``.
+class Spectrum:
+    """Fourier transforms of real lattice fields on one grid.
 
-    IMEX solve ``(1 + dt A)^-1``, exact OU decay ``exp(-dt A)`` and noise
-    filter, stationary filter ``(eps^-d / 2A)^(1/2)``, exponential-Euler weight
-    ``(1 - exp(-dt A)) / A`` and per-site noise scale ``sqrt(dt eps^-d)``.
-    Fields are real and the multipliers even in k, so transforms are the
-    real-input ``rfftn`` / ``irfftn`` pair and the multipliers live on its
-    half spectrum (last axis cut to ``n // 2 + 1``).  Transforms act on the
-    trailing d axes (a leading batch axis passes through) and look ``np.fft``
-    up at call time, so FFT hooks see every call.
+    Fields are real and every lattice multiplier is even in k, so transforms
+    are the real-input ``rfftn`` / ``irfftn`` pair and multipliers live on its
+    half spectrum (last axis cut to ``n // 2 + 1``), where ``mu`` holds the
+    symbol of ``-laplacian``.  Transforms act on the trailing d axes (a
+    leading batch axis passes through) and look ``np.fft`` up at call time,
+    so FFT hooks see every call.  :func:`spectrum` caches one per grid.
     """
 
-    def __init__(self, grid: LatticeGrid, m2: float, dt: float):
+    def __init__(self, grid: LatticeGrid):
         self.grid = grid
-        self.m2 = m2
-        self.dt = dt
         self.axes = tuple(range(-grid.d, 0))
-        self.a = mu_symbol(grid)[..., : grid.sites_per_axis // 2 + 1] + m2
-        self.imex_mult = 1.0 / (1.0 + dt * self.a)
-        self.ou_decay = np.exp(-dt * self.a)
-        self.ou_noise_mult = np.sqrt(
-            -np.expm1(-2.0 * dt * self.a) / (2.0 * self.a) * grid.eps ** (-grid.d)
-        )
-        self.exp_euler_weight = dt * (-np.expm1(-dt * self.a) / (dt * self.a))
-        self.stationary_mult = np.sqrt(grid.eps ** (-grid.d) / (2.0 * self.a))
-        self.noise_scale = math.sqrt(dt * grid.eps ** (-grid.d))
+        self.mu = mu_symbol(grid)[..., : grid.sites_per_axis // 2 + 1]
+        self.mu.setflags(write=False)  # shared by every caller of the cached spectrum
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(values, axes=self.axes)
@@ -246,6 +245,32 @@ class LinearPropagator:
     def apply(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
         """Multiply by a Fourier multiplier: ``ifft(fft(values) * mult)``."""
         return self.ifft(self.fft(values) * mult)
+
+
+spectrum = functools.cache(Spectrum)
+
+
+class LinearPropagator(Spectrum):
+    """Fourier multipliers of ``A = -laplacian + m2`` for one grid and step ``dt``.
+
+    IMEX solve ``(1 + dt A)^-1``, exact OU decay ``exp(-dt A)`` and noise
+    filter, stationary filter ``(eps^-d / 2A)^(1/2)``, exponential-Euler weight
+    ``(1 - exp(-dt A)) / A`` and per-site noise scale ``sqrt(dt eps^-d)``.
+    """
+
+    def __init__(self, grid: LatticeGrid, m2: float, dt: float):
+        super().__init__(grid)
+        self.m2 = m2
+        self.dt = dt
+        self.a = self.mu + m2
+        self.imex_mult = 1.0 / (1.0 + dt * self.a)
+        self.ou_decay = np.exp(-dt * self.a)
+        self.ou_noise_mult = np.sqrt(
+            -np.expm1(-2.0 * dt * self.a) / (2.0 * self.a) * grid.eps ** (-grid.d)
+        )
+        self.exp_euler_weight = dt * (-np.expm1(-dt * self.a) / (dt * self.a))
+        self.stationary_mult = np.sqrt(grid.eps ** (-grid.d) / (2.0 * self.a))
+        self.noise_scale = math.sqrt(dt * grid.eps ** (-grid.d))
 
 
 def weighted_pairing(f: Field, g: Field | np.ndarray) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Field, mu_symbol
+from .lattice import Field, spectrum
 
 __all__ = ["TruncatedPotential", "sobolev_norm_sq"]
 
@@ -110,15 +110,12 @@ def sobolev_norm_sq(f: Field, alpha: float) -> float:
 
     ``fhat`` is the transform unitary for the eps^d-weighted inner product
     (``sum |fhat|^2 = eps^d sum f^2``), so at ``alpha = 0`` the value equals
-    ``eps^d sum (f - mean f)^2``.  ``phi4 run`` records its square, times
-    ``beta / 4``, as the W observable.
+    ``eps^d sum (f - mean f)^2``.  By Parseval it is evaluated as ``eps^d
+    sum f * (mu^-alpha f)``, with the mode-0 multiplier set to 0.  ``phi4
+    run`` records its square, times ``beta / 4``, as the W observable.
     """
     grid = f.grid
-    mu = mu_symbol(grid)
-    fhat = np.fft.fftn(f.values) * np.sqrt(grid.eps**grid.d / grid.n_sites)
-    power = np.abs(fhat) ** 2
-    mult = np.zeros_like(mu)
-    nonzero = mu > 0
-    mult[nonzero] = mu[nonzero] ** (-alpha)
-    return float(np.sum(power * mult))
-
+    sp = spectrum(grid)
+    mult = np.zeros_like(sp.mu)
+    np.power(sp.mu, -alpha, out=mult, where=sp.mu > 0)
+    return float(grid.eps**grid.d * np.sum(f.values * sp.apply(f.values, mult)))

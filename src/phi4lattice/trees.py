@@ -41,10 +41,11 @@ constant vanishes by parity).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 import numpy as np
 
-from .lattice import BoxRegion, Field, GridError, LatticeGrid, LinearPropagator, mu_symbol
+from .lattice import BoxRegion, Field, GridError, LatticeGrid, LinearPropagator, spectrum
 from .noise import NoiseStream
 from .renorm import compute_c1, compute_c2
 
@@ -63,6 +64,8 @@ __all__ = [
 ]
 
 TREE_NAMES = ("1", "2", "3", "20", "30", "22", "31", "32")
+# temporal kernel half-width, in units of the heat time lam_j^2
+TIME_WIDTH_FACTOR = 0.01
 N_LEAVES = {"1": 1, "2": 2, "3": 3, "20": 2, "30": 3, "22": 4, "31": 4, "32": 5}
 
 
@@ -218,7 +221,6 @@ def evolve_with_chain(
     cfg,
     u0: Field,
     *,
-    n_steps: int | None = None,
     store_every: int = 1,
     noise_amplitude: float = 1.0,
 ) -> tuple[TreeEnsemble, np.ndarray]:
@@ -238,13 +240,11 @@ def evolve_with_chain(
     stream = NoiseStream(cfg.seed, grid, stream_id=cfg.stream_id)
     c1 = compute_c1(grid, cfg.m2)
     c2 = compute_c2(grid, cfg.m2)
-    if n_steps is None:
-        n_steps = cfg.n_steps()
 
     u = u0.values.copy()
     state = _TreeState.stationary(stepper.prop, c1, stream.standard_normals(), noise_amplitude)
     u_stored = []
-    for k in range(1, n_steps + 1):
+    for k in range(1, cfg.n_steps() + 1):
         eta = noise_amplitude * stepper.noise_scale * stream.standard_normals()
         u = step(stepper, u, eta, k)
         state.step_imex(eta)
@@ -262,25 +262,24 @@ class DyadicKernelFamily:
     (discretely normalised: its values sum to 1 exactly), so composing two
     family members is again a heat kernel and the dyadic semigroup property
     holds exactly in space.  The temporal factor is a C^2 bump of width
-    ``time_width_factor * lam_j^2`` sampled on the stored time grid; at the
-    default width it collapses to the sharp-time kernel, keeping the
+    ``TIME_WIDTH_FACTOR * lam_j^2`` sampled on the stored time grid; below
+    the storage resolution it collapses to the sharp-time kernel, keeping the
     semigroup property exact in time as well.
     """
 
     grid: LatticeGrid
     store_dt: float
     j_list: tuple[int, ...] = (1, 2, 3, 4)
-    time_width_factor: float = 0.01
 
     def __post_init__(self) -> None:
-        mu = mu_symbol(self.grid)
+        self._spectrum = spectrum(self.grid)
         self.scales = tuple(2.0 ** (-j) for j in self.j_list)
         self.heat_times = tuple(s**2 for s in self.scales)
-        self._multipliers = [np.exp(-u * mu) for u in self.heat_times]
+        self._multipliers = [np.exp(-u * self._spectrum.mu) for u in self.heat_times]
         self._time_kernels = [self._time_profile(u) for u in self.heat_times]
 
     def _time_profile(self, heat_time: float) -> np.ndarray:
-        width = self.time_width_factor * heat_time
+        width = TIME_WIDTH_FACTOR * heat_time
         m_max = int(width / self.store_dt)
         if m_max < 1:
             return np.array([1.0])
@@ -302,10 +301,7 @@ class DyadicKernelFamily:
         Entries within ``time_pad(idx)`` of the window edges are only
         partially covered and must be excluded from suprema by the caller.
         """
-        spatial_axes = tuple(range(-self.grid.d, 0))
-        half = self._multipliers[idx][..., : self.grid.sites_per_axis // 2 + 1]
-        spec = np.fft.rfftn(arr, axes=spatial_axes) * half
-        out = np.fft.irfftn(spec, self.grid.shape, spatial_axes)
+        out = self._spectrum.apply(arr, self._multipliers[idx])
         tk = self._time_kernels[idx]
         if len(tk) == 1:
             return out
@@ -318,28 +314,20 @@ class DyadicKernelFamily:
 
     def spatial_kernel(self, idx: int) -> np.ndarray:
         """Real-space kernel values (sum exactly 1)."""
-        return np.fft.ifftn(self._multipliers[idx]).real
+        return self._spectrum.ifft(self._multipliers[idx])
 
     def semigroup_errors(self) -> list[float]:
         """Relative L1 error of phi_u * phi_v vs phi_{u+v} at adjacent scales."""
         errors = []
-        mu = mu_symbol(self.grid)
+        sp = self._spectrum
         for i in range(self.n_scales - 1):
             u, v = self.heat_times[i], self.heat_times[i + 1]
-            composed_mult = self._multipliers[i] * self._multipliers[i + 1]
-            target_mult = np.exp(-(u + v) * mu)
-            tk_u, tk_v = self._time_kernels[i], self._time_kernels[i + 1]
-            tk_composed = np.convolve(tk_u, tk_v)
+            tk_composed = np.convolve(self._time_kernels[i], self._time_kernels[i + 1])
             tk_target = self._time_profile(u + v)
             nt = max(len(tk_composed), len(tk_target))
-            composed = np.zeros((nt,) + self.grid.shape)
-            target = np.zeros((nt,) + self.grid.shape)
-            k_comp = np.fft.ifftn(composed_mult).real
-            k_targ = np.fft.ifftn(target_mult).real
-            for m, w in enumerate(_center_pad(tk_composed, nt)):
-                composed[m] = w * k_comp
-            for m, w in enumerate(_center_pad(tk_target, nt)):
-                target[m] = w * k_targ
+            composed = np.multiply.outer(_center_pad(tk_composed, nt),
+                                         sp.ifft(self._multipliers[i] * self._multipliers[i + 1]))
+            target = np.multiply.outer(_center_pad(tk_target, nt), sp.ifft(np.exp(-(u + v) * sp.mu)))
             denom = np.sum(np.abs(target))
             errors.append(float(np.sum(np.abs(composed - target)) / denom))
         return errors
@@ -487,25 +475,24 @@ def seminorm_report(
                           domain="full" if domain is None else "localised")
 
 
-def _block_masks(grid: LatticeGrid) -> list[np.ndarray]:
+@functools.cache
+def _block_masks(grid: LatticeGrid) -> np.ndarray:
     """Littlewood-Paley blocks by physical frequency: |k|_inf/L in [2^(j-1), 2^j).
 
-    Block 0 collects |k|/L < 1 (the mean plus sub-unit modes on tori larger
-    than 1), so proxy norms are comparable across torus extents at a fixed
-    grid scale.
+    Stacked boolean masks on the half spectrum, block index first.  Block 0
+    collects |k|/L < 1 (the mean plus sub-unit modes on tori larger than 1),
+    so proxy norms are comparable across torus extents at a fixed grid scale.
     """
     n = grid.sites_per_axis
     k = np.abs(np.fft.fftfreq(n, d=1.0 / n)) / grid.L
-    kmag = np.zeros(grid.shape)
-    for axis in range(grid.d):
-        sh = [1] * grid.d
-        sh[axis] = n
-        kmag = np.maximum(kmag, k.reshape(sh))
+    kmag = np.max(np.meshgrid(*[k] * (grid.d - 1), k[: n // 2 + 1], indexing="ij"), axis=0)
     masks = [kmag < 1.0]
     j = 1
     while 2 ** (j - 1) <= kmag.max():
         masks.append((kmag >= 2 ** (j - 1)) & (kmag < 2**j))
         j += 1
+    masks = np.array(masks)
+    masks.setflags(write=False)  # shared by every caller of the cache
     return masks
 
 
@@ -517,16 +504,12 @@ def holder_norm_neg(f: Field, alpha: float, domain: BoxRegion | None = None) -> 
     used consistently on both sides of every comparison in the package.
     """
     grid = f.grid
-    fhat = np.fft.fftn(f.values)
-    mask_dom = domain.mask(grid) if domain is not None else None
     masks = _block_masks(grid)
-    terms = np.empty(len(masks))
-    for j, mask in enumerate(masks):
-        block = np.fft.ifftn(fhat * mask).real
-        if mask_dom is not None:
-            block = block[mask_dom]
-        terms[j] = 2.0 ** (j * alpha) * float(np.max(np.abs(block)))
-    return float(terms.max())  # NaN in f propagates
+    blocks = spectrum(grid).apply(f.values, masks)
+    if domain is not None:
+        blocks = blocks[:, domain.mask(grid)]
+    sups = np.max(np.abs(blocks.reshape(len(masks), -1)), axis=1)
+    return float(np.max(2.0 ** (np.arange(len(masks)) * alpha) * sups))  # NaN in f propagates
 
 
 def holder_seminorm_one(

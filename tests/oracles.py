@@ -170,9 +170,7 @@ def sunset_sum_loops(grid: LatticeGrid, m2: float, dt: float | None = None) -> f
         phi1 = -np.expm1(-a_kl * dt) / (a_kl * dt)
         return dt * phi1 * np.exp(-b * dt) / (-np.expm1(-(b + a_kl) * dt))
 
-    n = grid.sites_per_axis
-    mu_axis = 4.0 / grid.eps**2 * np.sin(np.pi * np.arange(n) / n) ** 2
-    a = m2 + sum(np.meshgrid(*[mu_axis] * grid.d, indexing="ij"))
+    a = m2 + _mu_full(grid.shape, grid.eps)
     flat = a.reshape(-1)
     total = 0.0
     for idx in np.ndindex(*grid.shape):
@@ -180,3 +178,39 @@ def sunset_sum_loops(grid: LatticeGrid, m2: float, dt: float | None = None) -> f
         a_kl = np.roll(a, shift=[-i for i in idx], axis=tuple(range(grid.d)))
         total += float(np.sum(weight(a_k, flat, a_kl.reshape(-1)) / (a_k * flat)))
     return 0.5 * total / grid.L ** (2 * grid.d)
+
+
+def _mu_full(shape: tuple[int, ...], eps: float) -> np.ndarray:
+    """Symbol of ``-laplacian`` on the full FFT mode grid."""
+    n = shape[0]
+    mu_axis = 4.0 / eps**2 * np.sin(np.pi * np.arange(n) / n) ** 2
+    return sum(np.meshgrid(*[mu_axis] * len(shape), indexing="ij"))
+
+
+def holder_norm_neg_complex(values: np.ndarray, L: float, eps: float, alpha: float,
+                            mask: np.ndarray | None = None) -> float:
+    """Littlewood-Paley proxy ``max_j 2^(j alpha) sup |block_j f|``, one complex
+    ``ifftn`` per sharp block ``|k|_inf / L in [2^(j-1), 2^j)`` (block 0: ``< 1``)."""
+    n, d = values.shape[0], values.ndim
+    k = np.abs(np.fft.fftfreq(n, d=1.0 / n)) / L
+    kmag = np.max(np.stack(np.meshgrid(*[k] * d, indexing="ij")), axis=0)
+    fhat = np.fft.fftn(values)
+    best, j = 0.0, 0
+    while j == 0 or 2 ** (j - 1) <= kmag.max():
+        block_mask = kmag < 1.0 if j == 0 else (kmag >= 2 ** (j - 1)) & (kmag < 2**j)
+        block = np.fft.ifftn(fhat * block_mask).real
+        if mask is not None:
+            block = block[mask]
+        best = max(best, 2.0 ** (j * alpha) * float(np.max(np.abs(block))))
+        j += 1
+    return best
+
+
+def sobolev_norm_sq_complex(values: np.ndarray, eps: float, alpha: float) -> float:
+    """``sum_{k != 0} |fhat(k)|^2 mu(k)^-alpha`` with the transform unitary for
+    the ``eps^d``-weighted inner product, over the full complex spectrum."""
+    mu = _mu_full(values.shape, eps)
+    fhat = np.fft.fftn(values) * np.sqrt(eps**values.ndim / values.size)
+    mult = np.zeros_like(mu)
+    mult[mu > 0] = mu[mu > 0] ** (-alpha)
+    return float(np.sum(np.abs(fhat) ** 2 * mult))

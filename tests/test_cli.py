@@ -205,13 +205,24 @@ class TestSuites:
         kernels = json.loads((out / "kernels.json").read_text())
         assert all(abs(k["spatial_sum"] - 1.0) < 1e-12 for k in kernels)
 
+    def test_quadratic_tilt_rejected(self, tmp_path):
+        # the quadratic test mode has no tilt drift, while V and W would still scale by beta
+        cfg = write_config(tmp_path, MINIMAL + "quadratic = true\ndynamics.beta = 0.5\n")
+        with pytest.raises(ConfigError, match="beta"):
+            parse_config(cfg)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "q")]) == 2
+        # phi4 stats applies observable.beta as the tilt of its second ensemble
+        cfg = write_config(tmp_path, MINIMAL + "quadratic = true\nstats.n_chains = 2\n"
+                           "stats.n_records = 10\nstats.record_stride = 1\nstats.burn_steps = 10\n")
+        assert main(["stats", "--suite", "density", "--config", str(cfg),
+                     "--out", str(tmp_path / "s")]) == 2
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "bogus.key = 1\n")
         out = tmp_path / "x"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
 
-    def test_apriori_suite_with_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PHI4_THREADS", "2")
+    def test_apriori_suite_two_seeds(self, tmp_path):
         cfg = write_config(
             tmp_path,
             MINIMAL + "verify.suite_seeds = 2\nverify.R = 0.5\nverify.c_max = 20.0\n",
@@ -220,8 +231,9 @@ class TestSuites:
         rc = main(["verify", "--suite", "apriori", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         report = json.loads((out / "verify.json").read_text())
-        seeds = {e["seed"] for e in report["report"]["entries"]}
-        assert seeds == {0, 1}
+        entries = report["report"]["entries"]
+        assert [(e["seed"], e["magnitude"]) for e in entries] == [
+            (s, m) for s in (0, 1) for m in (1.0, 1e3, 1e6)]
 
     def test_run_logs_autocorr_audit(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL.replace("t_end = 0.2", "t_end = 2.0")

@@ -137,6 +137,10 @@ class TestStep:
         assert np.all(np.isfinite(res.final_state.field.values))
         assert np.max(np.abs(res.final_state.field.values)) < 1e3
 
+    def test_quadratic_mode_rejects_tilt(self):
+        with pytest.raises(ValueError, match="beta"):
+            SimConfig(d=1, L=1.0, N=4, dt=1e-2, quadratic=True, beta=0.5)
+
     def test_cfl_validation(self):
         with pytest.raises(ValueError):
             SimConfig(d=1, L=1.0, N=4, dt=1e-2, t_end=1.0, integrator="explicit")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from phi4lattice.lattice import Field, build_grid, mu_symbol
 from phi4lattice.potential import TruncatedPotential, sobolev_norm_sq
 
-from oracles import central_difference
+from oracles import central_difference, sobolev_norm_sq_complex
 
 
 class TestTruncatedPotential:
@@ -93,6 +93,15 @@ class TestObservables:
         # |fhat|^2 at +-k: unitary-in-eps^d transform of a*cos: total power a^2 eps^d n / 2
         inner = a**2 / 2.0 * g.eps * g.sites_per_axis * mu[k] ** (-alpha)
         assert sobolev_norm_sq(f, alpha) == pytest.approx(inner, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("L", [1.0, 2.0])
+    def test_matches_complex_fft_oracle(self, d, L):
+        g = build_grid(d, L, 3)
+        f = Field(g, np.random.default_rng(d).standard_normal(g.shape))
+        for alpha in (0.0, 0.6, 1.3):
+            assert sobolev_norm_sq(f, alpha) == pytest.approx(
+                sobolev_norm_sq_complex(f.values, g.eps, alpha), rel=1e-12)
 
     def test_parseval_alpha_zero(self):
         g = build_grid(2, 1.0, 3)

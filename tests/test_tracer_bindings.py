@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PROBE = """
 import json
 from tracer import Tracer
-from phi4lattice import dynamics, noise, lattice, renorm
+from phi4lattice import dynamics, noise, lattice, potential, renorm, trees
 
 # built before install, as a propagator kept across traced and untraced runs would be
 batch = dynamics.BatchChain(dynamics.SimConfig(d=2, N=2, dt=0.01, integrator="imex"), 2)
@@ -27,6 +27,11 @@ batch.advance(3)
 inc = noise.NoiseStream(0, lattice.build_grid(2, 1.0, 3)).draw(0.01)
 noise.coarsen(inc)
 renorm.compute_c2(lattice.build_grid(3, 1.0, 2))
+grid = lattice.build_grid(2, 1.0, 3)
+field = lattice.Field(grid, batch.values[0].repeat(2, 0).repeat(2, 1))
+trees.holder_norm_neg(field, -0.7)
+potential.sobolev_norm_sq(field, 0.6)
+trees.DyadicKernelFamily(grid, store_dt=0.01).convolve(field.values[None], 0)
 print(json.dumps({"bindings": tracer.bindings, "metrics": tracer.metrics()}))
 """
 
@@ -51,3 +56,7 @@ def test_every_span_target_binds():
     # the sunset sums are FFT convolutions; their transforms must reach the hook too
     assert metrics["renorm.c2_calls"] >= 1
     assert metrics["renorm.fft_calls"] > 0
+    # the observables' shared transforms are charged to the layers that call them
+    assert metrics["trees.holder_calls"] == 1 and metrics["trees.convolve_calls"] == 1
+    assert metrics["trees.fft_calls"] > 0
+    assert metrics["potential.fft_calls"] > 0

@@ -17,7 +17,7 @@ from phi4lattice.trees import (
     seminorm_report,
 )
 
-from oracles import seminorm_brute
+from oracles import holder_norm_neg_complex, seminorm_brute
 
 
 class NegatedStream(NoiseStream):
@@ -171,7 +171,7 @@ class TestSeminorm:
         c2 = 0.37
         ens = make_ensemble(g, stored, c2=c2)
         kern = DyadicKernelFamily(g, store_dt=0.05, j_list=(1, 2))
-        spatial = [np.fft.ifftn(kern._multipliers[i]).real for i in range(kern.n_scales)]
+        spatial = [kern.spatial_kernel(i) for i in range(kern.n_scales)]
         for tau in ("2", "3", "20", "30", "22", "31", "32"):
             expected = seminorm_brute(
                 stored, c2, spatial, kern._time_kernels, list(kern.scales),
@@ -288,6 +288,18 @@ class TestHolderProxy:
             f = Field(g, psi_vals(g.axis_coords()))
             norms.append(holder_norm_neg(f, -0.7))
         assert abs(norms[1] / norms[0] - 1.0) < 0.15
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("L", [1.0, 2.0])
+    @pytest.mark.parametrize("boxed", [False, True])
+    def test_matches_complex_fft_oracle(self, d, L, boxed):
+        g = build_grid(d, L, 3)
+        f = Field(g, np.random.default_rng(d).standard_normal(g.shape))
+        box = BoxRegion((-0.3,) * d, (0.45,) * d) if boxed else None
+        mask = box.mask(g) if boxed else None
+        for alpha in (-0.7, -0.55):
+            assert holder_norm_neg(f, alpha, box) == pytest.approx(
+                holder_norm_neg_complex(f.values, L, 2.0**-3, alpha, mask), rel=1e-12)
 
     def test_seminorm_one_is_time_sup(self):
         ens = small_ensemble(seed=29, n_steps=32, c2=0.0)
