@@ -5,10 +5,12 @@ refactor that drifts semantics passes them.  These cases compare against
 values stored in ``golden.json`` instead, at relative tolerance 1e-12 (with
 an absolute floor of 1e-12 times the largest pinned magnitude of the same
 output, for entries that are round-off zeros).  Every integrator, both tree
-modes, chain co-evolution, the volume pair and the linear batteries are
-covered; the whole file runs in well under a second.
+modes, chain co-evolution, the a priori batteries, the volume pair and the
+linear batteries are covered; the whole file runs in well under a second.
 
-Re-pin only when a change of results is intended, and say why in the
+``--update`` pins the cases that ``golden.json`` does not hold yet and
+leaves every pinned case as it is.  Re-pin a case (delete its entry, then
+update) only when a change of results is intended, and say why in the
 change log::
 
     PYTHONPATH=src python tests/test_golden.py --update
@@ -27,6 +29,8 @@ from phi4lattice.lattice import Field, build_grid
 from phi4lattice.noise import NoiseStream, coarsen
 from phi4lattice.trees import evolve_trees, evolve_with_chain
 from phi4lattice.verify import (
+    check_apriori,
+    check_apriori_localised,
     coming_down_check,
     convergence_study,
     gaussian_covariance_battery,
@@ -104,6 +108,26 @@ def _volume_pair():
     return {f"{tag}[{tau}]": v for tag, rep in res.items() for tau, v in rep.values.items()}
 
 
+def _bound_entries(report):
+    out = {}
+    for e in report.entries:
+        tag = f"s{e['seed']}m{e['magnitude']:g}"
+        out[f"{tag}.lhs"] = e["lhs"]
+        out[f"{tag}.rhs"] = e["rhs"]
+        out.update({f"{tag}[{tau}]": v for tau, v in e["seminorms"].items()})
+    return out
+
+
+def _apriori(d, N):
+    return _bound_entries(check_apriori(d=d, N=N, dt=0.01, R=0.5, magnitudes=(1.0, 1e3, 1e6),
+                                        seeds=(0, 1), store_every=2))
+
+
+def _apriori_localised():
+    return _bound_entries(check_apriori_localised(d=2, N=3, dt=0.01, magnitudes=(1.0, 1e3, 1e6),
+                                                  seeds=(0, 1), store_every=2))
+
+
 def _coming_down():
     res = coming_down_check(d=1, L=1.0, N=3, dt=0.01, t_snapshot=0.1,
                             magnitudes=(1.0, 1e3, 1e6), seed=6)
@@ -137,6 +161,9 @@ CASES = {
     "trees_initial": _trees_initial,
     "evolve_with_chain": _with_chain,
     "volume_pair": _volume_pair,
+    "apriori_d1": lambda: _apriori(1, 3),
+    "apriori_d3": lambda: _apriori(3, 2),
+    "apriori_localised": _apriori_localised,
     "coming_down": _coming_down,
     "convergence": _convergence,
     "covariance": _covariance,
@@ -176,6 +203,7 @@ def test_golden_covers_every_case(golden):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: python tests/test_golden.py --update")
-    GOLDEN.write_text(json.dumps({name: _as_lists(fn()) for name, fn in sorted(CASES.items())},
-                                 indent=1, sort_keys=True) + "\n")
-    print(f"pinned {len(CASES)} cases in {GOLDEN}")
+    pinned = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = {name: _as_lists(fn()) for name, fn in sorted(CASES.items()) if name not in pinned}
+    GOLDEN.write_text(json.dumps({**pinned, **new}, indent=1, sort_keys=True) + "\n")
+    print(f"pinned {len(new)} new cases in {GOLDEN}: {', '.join(new) or 'none'}")
