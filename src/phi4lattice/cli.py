@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import BatchChain, SimConfig, run_chain
+from .dynamics import BatchChain, ChainState, SimConfig, run_chain
 from .lattice import build_grid, read_snapshot, write_snapshot
 from .noise import NoiseStream
 from .potential import TruncatedPotential
@@ -31,6 +31,7 @@ from .stats import (
     SampleSet,
     density_cross_check,
     estimate_partition,
+    integrated_autocorr_time,
     tail_exponent,
     uniform_Z_plateau,
 )
@@ -242,14 +243,10 @@ def cmd_run(args) -> int:
             stream = NoiseStream(values["seed"], grid)
             step_idx = int(round(fld.time / cfg.dt))
             stream.counter = step_idx
-            from .dynamics import ChainState
-
             resume_state = ChainState(field=fld, step=step_idx, stream=stream)
     result = run_chain(cfg, resume_state=resume_state)
     manifest = _new_manifest(values)
     if len(result.pairing) >= 8:
-        from .stats import integrated_autocorr_time
-
         # burn-in is operator-chosen; the autocorrelation time is logged for audit
         manifest.parameters["audit.pairing_autocorr_time"] = integrated_autocorr_time(
             result.pairing

@@ -46,7 +46,7 @@ from .lattice import (
     weighted_pairing,
 )
 from .noise import NoiseStream
-from .potential import TruncatedPotential, sobolev_norm_sq
+from .potential import TruncatedPotential, holder_norm_neg, sobolev_norm_sq
 from .renorm import RenormConstants
 
 __all__ = [
@@ -256,12 +256,6 @@ class RunResult:
             )
 
 
-def _holder_proxy(f: Field, alpha: float) -> float:
-    from .trees import holder_norm_neg  # local import to avoid a cycle
-
-    return holder_norm_neg(f, alpha)
-
-
 def run_chain(
     cfg: SimConfig,
     initial: Field | None = None,
@@ -308,7 +302,7 @@ def run_chain(
                         float(x),
                         float(0.25 * cfg.beta * x**4),
                         float(0.25 * cfg.beta * np.float64(sobolev_norm_sq(f, cfg.alpha)) ** 2),
-                        _holder_proxy(f, norm_alpha),
+                        holder_norm_neg(f, norm_alpha),
                     )
                 )
 

@@ -161,12 +161,18 @@ class BoxRegion:
     lo: tuple[float, ...]
     hi: tuple[float, ...]
 
+    @functools.cache
     def mask(self, grid: LatticeGrid) -> np.ndarray:
+        """Sites inside the box; built once per grid and read-only."""
+        if (len(self.lo), len(self.hi)) != (grid.d, grid.d):
+            raise GridError(f"a box with {len(self.lo)}-d lower and {len(self.hi)}-d upper "
+                            f"bounds does not fit a {grid.d}-d grid")
         coords = grid.to_symmetric_coords(grid.site_coords())
         mask = np.ones(grid.shape, dtype=bool)
         for axis in range(grid.d):
             c = coords[..., axis]
             mask &= (c >= self.lo[axis]) & (c <= self.hi[axis])
+        mask.setflags(write=False)
         return mask
 
 

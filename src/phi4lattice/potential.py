@@ -1,4 +1,4 @@
-"""Truncated quartic potentials and the negative-Sobolev norm behind the W observable.
+"""Truncated quartic potentials and the negative Sobolev and Holder proxy norms.
 
 ``TruncatedPotential(n)`` is the C^1 even function equal to ``x^4/4`` on
 ``|x| <= n`` and to the plateau ``n^4/4 + 1`` on ``|x| >= n+1``, joined on
@@ -17,14 +17,15 @@ the flat landing.  The n = 1 blend realises ``sup |F_1'| < 1.52``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Field, spectrum
+from .lattice import BoxRegion, Field, LatticeGrid, spectrum
 
-__all__ = ["TruncatedPotential", "sobolev_norm_sq"]
+__all__ = ["TruncatedPotential", "sobolev_norm_sq", "holder_norm_neg"]
 
 
 def _blend_coefficients(n: int) -> np.ndarray:
@@ -119,3 +120,40 @@ def sobolev_norm_sq(f: Field, alpha: float) -> float:
     mult = np.zeros_like(sp.mu)
     np.power(sp.mu, -alpha, out=mult, where=sp.mu > 0)
     return float(grid.eps**grid.d * np.sum(f.values * sp.apply(f.values, mult)))
+
+
+@functools.cache
+def _block_masks(grid: LatticeGrid) -> np.ndarray:
+    """Littlewood-Paley blocks by physical frequency: |k|_inf/L in [2^(j-1), 2^j).
+
+    Stacked boolean masks on the half spectrum, block index first.  Block 0
+    collects |k|/L < 1 (the mean plus sub-unit modes on tori larger than 1),
+    so proxy norms are comparable across torus extents at a fixed grid scale.
+    """
+    n = grid.sites_per_axis
+    k = np.abs(np.fft.fftfreq(n, d=1.0 / n)) / grid.L
+    kmag = np.max(np.meshgrid(*[k] * (grid.d - 1), k[: n // 2 + 1], indexing="ij"), axis=0)
+    masks = [kmag < 1.0]
+    j = 1
+    while 2 ** (j - 1) <= kmag.max():
+        masks.append((kmag >= 2 ** (j - 1)) & (kmag < 2**j))
+        j += 1
+    masks = np.array(masks)
+    masks.setflags(write=False)  # shared by every caller of the cache
+    return masks
+
+
+def holder_norm_neg(f: Field, alpha: float, domain: BoxRegion | None = None) -> float:
+    """Negative-regularity Holder norm proxy: ``max_j 2^(j alpha) sup |block_j f|``.
+
+    Blocks are sharp Fourier annuli ``2^(j-1) <= |k|_inf < 2^j`` (block 0 is
+    the spatial mean).  This is a documented norm-equivalent proxy; it is
+    used consistently on both sides of every comparison in the package.
+    """
+    grid = f.grid
+    masks = _block_masks(grid)
+    blocks = spectrum(grid).apply(f.values, masks)
+    if domain is not None:
+        blocks = blocks[:, domain.mask(grid)]
+    sups = np.max(np.abs(blocks.reshape(len(masks), -1)), axis=1)
+    return float(np.max(2.0 ** (np.arange(len(masks)) * alpha) * sups))  # NaN in f propagates

@@ -32,8 +32,8 @@ with the exponent ``e_tau = kappa - deg(tau)`` from the degree table
                                                      tree32: 1/2 + kappa
 
 ``tree1`` itself is measured in the stronger norm
-``sup_t || tree1(t) ||_{C^(-1/2-kappa)}`` via the Littlewood-Paley proxy of
-:func:`holder_norm_neg`.  Positive-degree trees subtract their base-point
+``sup_t || tree1(t) ||_{C^(-1/2-kappa)}`` via the Littlewood-Paley proxy
+:func:`~phi4lattice.potential.holder_norm_neg`.  Positive-degree trees subtract their base-point
 value; ``tree22`` subtracts ``c2 + tree20(x) tree2(y)``; ``tree31`` and
 ``tree32`` subtract ``tree30(x)`` times the second factor (their pairing
 constant vanishes by parity).
@@ -41,12 +41,13 @@ constant vanishes by parity).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 import numpy as np
 
+from .dynamics import SimConfig, _Stepper, step
 from .lattice import BoxRegion, Field, GridError, LatticeGrid, LinearPropagator, spectrum
 from .noise import NoiseStream
+from .potential import holder_norm_neg
 from .renorm import compute_c1, compute_c2
 
 __all__ = [
@@ -81,6 +82,11 @@ def seminorm_exponent(tau: str, kappa: float) -> float:
         "32": -0.5,
     }
     return kappa - degree[tau]
+
+
+def _check_store_every(store_every: int) -> None:
+    if store_every < 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
 
 
 @dataclass
@@ -193,6 +199,7 @@ def evolve_trees(
     """
     if mode not in ("imex", "exact"):
         raise ValueError(f"unknown tree evolution mode {mode!r}")
+    _check_store_every(store_every)
     if stream is None:
         stream = NoiseStream(seed, grid, stream_id=stream_id)
     if c1 is None:
@@ -218,7 +225,7 @@ def evolve_trees(
 
 
 def evolve_with_chain(
-    cfg,
+    cfg: SimConfig,
     u0: Field,
     *,
     store_every: int = 1,
@@ -231,8 +238,7 @@ def evolve_with_chain(
     is the smooth remainder.  Returns the ensemble and the stored chain
     trajectory (same decimation as the ensemble).
     """
-    from .dynamics import _Stepper, step  # the chain's own step
-
+    _check_store_every(store_every)
     grid = cfg.grid()
     if u0.grid != grid:
         raise GridError("initial field lives on the wrong grid")
@@ -473,43 +479,6 @@ def seminorm_report(
             raise RuntimeError(f"seminorm [{tau}] is not finite and nonnegative: {val}")
     return SeminormReport(kappa=kappa, values=values,
                           domain="full" if domain is None else "localised")
-
-
-@functools.cache
-def _block_masks(grid: LatticeGrid) -> np.ndarray:
-    """Littlewood-Paley blocks by physical frequency: |k|_inf/L in [2^(j-1), 2^j).
-
-    Stacked boolean masks on the half spectrum, block index first.  Block 0
-    collects |k|/L < 1 (the mean plus sub-unit modes on tori larger than 1),
-    so proxy norms are comparable across torus extents at a fixed grid scale.
-    """
-    n = grid.sites_per_axis
-    k = np.abs(np.fft.fftfreq(n, d=1.0 / n)) / grid.L
-    kmag = np.max(np.meshgrid(*[k] * (grid.d - 1), k[: n // 2 + 1], indexing="ij"), axis=0)
-    masks = [kmag < 1.0]
-    j = 1
-    while 2 ** (j - 1) <= kmag.max():
-        masks.append((kmag >= 2 ** (j - 1)) & (kmag < 2**j))
-        j += 1
-    masks = np.array(masks)
-    masks.setflags(write=False)  # shared by every caller of the cache
-    return masks
-
-
-def holder_norm_neg(f: Field, alpha: float, domain: BoxRegion | None = None) -> float:
-    """Negative-regularity Holder norm proxy: ``max_j 2^(j alpha) sup |block_j f|``.
-
-    Blocks are sharp Fourier annuli ``2^(j-1) <= |k|_inf < 2^j`` (block 0 is
-    the spatial mean).  This is a documented norm-equivalent proxy; it is
-    used consistently on both sides of every comparison in the package.
-    """
-    grid = f.grid
-    masks = _block_masks(grid)
-    blocks = spectrum(grid).apply(f.values, masks)
-    if domain is not None:
-        blocks = blocks[:, domain.mask(grid)]
-    sups = np.max(np.abs(blocks.reshape(len(masks), -1)), axis=1)
-    return float(np.max(2.0 ** (np.arange(len(masks)) * alpha) * sups))  # NaN in f propagates
 
 
 def holder_seminorm_one(

@@ -44,11 +44,12 @@ from .lattice import (
     spectrum,
 )
 from .noise import NoiseIncrement, NoiseStream, coarsen
+from .potential import holder_norm_neg
 from .renorm import compute_c1, compute_c2
 from .trees import (
     DyadicKernelFamily,
+    _check_store_every,
     _TreeState,
-    holder_norm_neg,
     seminorm_report,
     evolve_with_chain,
 )
@@ -252,6 +253,7 @@ def check_apriori(
     """Battery for the global bound over seeds and initial magnitudes."""
     if not 0.0 < R < 1.0:
         raise ValueError(f"R must lie in (0, 1), got {R}")
+    _check_store_every(store_every)
     report = BoundReport(name="apriori", c_max=c_max)
     grid = build_grid(d, L, N)
     kernels = DyadicKernelFamily(grid, store_dt=dt * store_every)
@@ -291,6 +293,7 @@ def check_apriori_localised(
         )
     if L < 2.0 * N_box:
         raise GridError(f"torus extent {L} smaller than the localisation box {2 * N_box}")
+    _check_store_every(store_every)
     grid = build_grid(d, L, N)
     box_semi = BoxRegion((-N_box,) * d, (N_box,) * d)
     box_lhs = BoxRegion((-N_box + R,) * d, (N_box - R,) * d)
@@ -357,6 +360,7 @@ def volume_pair_seminorms(
     beyond statistical factors: behaviour far from the box cannot influence
     the localised bound.
     """
+    _check_store_every(store_every)
     grid_s = build_grid(d, L, N)
     grid_l = build_grid(d, 2.0 * L, N)
     stream = NoiseStream(seed, grid_l, stream_id=17)

@@ -252,6 +252,18 @@ class TestLocalize:
         off_site = BoxRegion((0.001, 0.001), (0.002, 0.002))
         assert not np.any(off_site.mask(g))
 
+    def test_mask_built_once_and_read_only(self):
+        g = build_grid(2, 1.0, 3)
+        mask = BoxRegion((-0.25, -0.25), (0.25, 0.25)).mask(g)
+        assert BoxRegion((-0.25, -0.25), (0.25, 0.25)).mask(g) is mask
+        assert not mask.flags.writeable
+
+    @pytest.mark.parametrize("lo, hi", [((-0.5, -0.5, 5.0), (0.5, 0.5, 6.0)), ((-0.5,), (0.5,))])
+    def test_box_dimension_must_match_grid(self, lo, hi):
+        # a 3-d box used to drop its third bound, a 1-d box to fail with IndexError
+        with pytest.raises(GridError, match=rf"{len(lo)}-d lower .* 2-d grid"):
+            BoxRegion(lo, hi).mask(build_grid(2, 1.0, 3))
+
     def test_half_torus_mask_oracle(self):
         g = build_grid(1, 1.0, 4)
         got = BoxRegion((-0.5,), (0.0,)).mask(g)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from phi4lattice.dynamics import BlowUpError
+from phi4lattice.dynamics import BlowUpError, SimConfig
 from phi4lattice.lattice import Field, GridError, build_grid
+from phi4lattice.trees import evolve_trees, evolve_with_chain
 from phi4lattice.verify import (
     BoundReport,
     LacunaryFunction,
@@ -16,6 +17,7 @@ from phi4lattice.verify import (
     init_discretisation_rate,
     linear_coupling_oracle,
     max_principle_battery,
+    volume_pair_seminorms,
 )
 
 
@@ -75,6 +77,21 @@ class TestAprioriBound:
             check_apriori_localised(d=1, N=4, R=0.2, N_box=0.45, psi_radius=0.3)
         with pytest.raises(GridError):
             check_apriori_localised(d=1, L=0.5, N=4, R=0.05, N_box=0.45, psi_radius=0.3)
+
+    def test_store_every_below_one_rejected(self):
+        # store_every = 0 used to end in ZeroDivisionError
+        cfg = SimConfig(d=1, N=3, dt=0.01, t_end=0.1)
+        g = cfg.grid()
+        calls = (
+            lambda: evolve_trees(g, dt=0.01, n_steps=4, store_every=0),
+            lambda: evolve_with_chain(cfg, g.zero_field(), store_every=0),
+            lambda: check_apriori(d=1, N=3, dt=0.01, store_every=0),
+            lambda: check_apriori_localised(d=1, N=3, dt=0.01, store_every=-1),
+            lambda: volume_pair_seminorms(0, d=1, N=3, dt=0.01, store_every=0),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="store_every"):
+                call()
 
     def test_coming_down_spread(self):
         res = coming_down_check(d=1, L=1.0, N=4, dt=1e-3, t_snapshot=0.25,
