@@ -333,7 +333,6 @@ class BatchChain:
         self,
         cfg: SimConfig,
         n_chains: int,
-        initial: np.ndarray | None = None,
         stationary_start: bool = False,
     ):
         self.cfg = cfg
@@ -342,11 +341,7 @@ class BatchChain:
         self.stepper = _Stepper(cfg, self.grid)
         self.stream = NoiseStream(cfg.seed, self.grid, stream_id=cfg.stream_id)
         shape = (n_chains,) + self.grid.shape
-        if initial is not None:
-            self.values = np.array(initial, dtype=float)
-            if self.values.shape != shape:
-                raise GridError(f"initial batch shape {self.values.shape} != {shape}")
-        elif stationary_start:
+        if stationary_start:
             if not cfg.quadratic:
                 raise ValueError("stationary start is exact only in the quadratic test mode")
             prop = self.stepper.prop

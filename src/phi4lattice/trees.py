@@ -12,7 +12,8 @@ chain when requested:
   data at t = 0,
 * products ``tree22 = tree20*tree2``, ``tree31 = tree30*tree1``,
   ``tree32 = tree30*tree2``, assembled on demand and positively
-  renormalised at the base point inside the seminorm.
+  renormalised at the base point inside the seminorm (the pairing
+  constants of tree31 and tree32 vanish by parity).
 
 Seminorm bookkeeping.  The kernel family is indexed by a dyadic length
 scale ``lam_j = 2^-j``; its spatial part is the lattice heat semigroup at
@@ -24,24 +25,20 @@ average centered at the base point x, the seminorm is
 
     [tau]_kappa = sup_x sup_lam lam^(e_tau) |(tau)_lam(x) - base-point terms|
 
-with the exponent ``e_tau = kappa - deg(tau)`` from the degree table
-``deg tree1 = -1/2`` (products multiply degrees, heat integration adds 2):
-
-    tree2: 1 + kappa        tree20: -(1 - kappa)     tree22: kappa
-    tree3: 3/2 + kappa      tree30: -(1/2 - kappa)   tree31: kappa
-                                                     tree32: 1/2 + kappa
-
+with the exponent ``e_tau = kappa - deg(tau)`` (``deg tree1 = -1/2``;
+products add degrees, heat integration adds 2).  The table :data:`TREES`
+holds every tree's degree, leaf count, factors and base-point terms.
 ``tree1`` itself is measured in the stronger norm
 ``sup_t || tree1(t) ||_{C^(-1/2-kappa)}`` via the Littlewood-Paley proxy
-:func:`~phi4lattice.potential.holder_norm_neg`.  Positive-degree trees subtract their base-point
-value; ``tree22`` subtracts ``c2 + tree20(x) tree2(y)``; ``tree31`` and
-``tree32`` subtract ``tree30(x)`` times the second factor (their pairing
-constant vanishes by parity).
+:func:`~phi4lattice.potential.holder_norm_neg`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .dynamics import SimConfig, _Stepper, step
@@ -51,6 +48,7 @@ from .potential import holder_norm_neg
 from .renorm import compute_c1, compute_c2
 
 __all__ = [
+    "TREES",
     "TreeEnsemble",
     "DyadicKernelFamily",
     "SeminormReport",
@@ -64,29 +62,41 @@ __all__ = [
     "holder_seminorm_one",
 ]
 
-TREE_NAMES = ("1", "2", "3", "20", "30", "22", "31", "32")
 # temporal kernel half-width, in units of the heat time lam_j^2
 TIME_WIDTH_FACTOR = 0.01
-N_LEAVES = {"1": 1, "2": 2, "3": 3, "20": 2, "30": 3, "22": 4, "31": 4, "32": 5}
+
+
+class Tree(NamedTuple):
+    """A tree: the pointwise product of the stored series ``factors``.
+
+    At each base point x a ``recentred`` tree subtracts its first factor at x
+    times the kernel average of the others (1 if none); a ``sunset`` tree
+    also subtracts c2.
+    """
+
+    leaves: int
+    degree: float
+    factors: tuple[str, ...]
+    recentred: bool = False
+    sunset: bool = False
+
+
+TREES = {
+    "1": Tree(1, -0.5, ("1",)),  # first; measured by the Holder proxy, not the kernels
+    "2": Tree(2, -1.0, ("2",)),
+    "3": Tree(3, -1.5, ("3",)),
+    "20": Tree(2, 1.0, ("20",), recentred=True),
+    "30": Tree(3, 0.5, ("30",), recentred=True),
+    "22": Tree(4, 0.0, ("20", "2"), recentred=True, sunset=True),
+    "31": Tree(4, 0.0, ("30", "1"), recentred=True),
+    "32": Tree(5, -0.5, ("30", "2"), recentred=True),
+}
+N_LEAVES = {tau: tree.leaves for tau, tree in TREES.items()}
 
 
 def seminorm_exponent(tau: str, kappa: float) -> float:
     """Scale exponent e_tau = kappa - deg(tau) in the dyadic length scale."""
-    degree = {
-        "2": -1.0,
-        "3": -1.5,
-        "20": 1.0,
-        "30": 0.5,
-        "22": 0.0,
-        "31": 0.0,
-        "32": -0.5,
-    }
-    return kappa - degree[tau]
-
-
-def _check_store_every(store_every: int) -> None:
-    if store_every < 1:
-        raise ValueError(f"store_every must be >= 1, got {store_every}")
+    return kappa - TREES[tau].degree
 
 
 @dataclass
@@ -107,21 +117,18 @@ class TreeEnsemble:
     def n_times(self) -> int:
         return len(self.times)
 
-    def product(self, tau: str) -> np.ndarray:
-        """Raw product process for a composite tree (no renormalisation)."""
-        pairs = {"22": ("20", "2"), "31": ("30", "1"), "32": ("30", "2")}
-        a, b = pairs[tau]
-        return self.stored[a] * self.stored[b]
-
 
 class _TreeState:
     """tree1 and the heat integrals tree20 / tree30 (from zero), stepped and stored.
 
     A step's Wick sources come from the tree1 it starts from; the stored
-    tree2 / tree3 from the tree1 it ends at.
+    tree2 / tree3 from the tree1 it ends at, every ``store_every``-th step.
     """
 
-    def __init__(self, prop: LinearPropagator, c1: float, tree1: np.ndarray):
+    def __init__(self, prop: LinearPropagator, c1: float, tree1: np.ndarray, store_every: int):
+        if store_every < 1:
+            raise ValueError(f"store_every must be >= 1, got {store_every}")
+        self.store_every = store_every
         self.prop = prop
         self.c1 = c1
         self.t1 = tree1
@@ -132,9 +139,9 @@ class _TreeState:
 
     @classmethod
     def stationary(cls, prop: LinearPropagator, c1: float, normals: np.ndarray,
-                   amplitude: float = 1.0) -> "_TreeState":
+                   store_every: int, amplitude: float = 1.0) -> "_TreeState":
         """Start from the exact stationary linear field (per-mode variance eps^-d / 2a)."""
-        return cls(prop, c1, amplitude * prop.apply(normals, prop.stationary_mult))
+        return cls(prop, c1, amplitude * prop.apply(normals, prop.stationary_mult), store_every)
 
     def _wick(self) -> tuple[np.ndarray, np.ndarray]:
         t1 = self.t1
@@ -157,12 +164,16 @@ class _TreeState:
         self.t20 = p.ifft(p.fft(self.t20) * p.ou_decay + p.exp_euler_weight * p.fft(t2))
         self.t30 = p.ifft(p.fft(self.t30) * p.ou_decay + p.exp_euler_weight * p.fft(t3))
 
-    def store(self, t: float) -> None:
+    def store(self, k: int) -> bool:
+        """Store the trees after step ``k`` if it is a storage step; say whether it was."""
+        if k % self.store_every:
+            return False
         t2, t3 = self._wick()
-        self.times.append(t)
+        self.times.append(k * self.prop.dt)
         for key, val in (("1", self.t1.copy()), ("2", t2), ("3", t3),
                          ("20", self.t20.copy()), ("30", self.t30.copy())):
             self.stored[key].append(val)
+        return True
 
     def ensemble(self, c2: float, mode: str, seed: int) -> TreeEnsemble:
         p = self.prop
@@ -199,7 +210,6 @@ def evolve_trees(
     """
     if mode not in ("imex", "exact"):
         raise ValueError(f"unknown tree evolution mode {mode!r}")
-    _check_store_every(store_every)
     if stream is None:
         stream = NoiseStream(seed, grid, stream_id=stream_id)
     if c1 is None:
@@ -209,9 +219,10 @@ def evolve_trees(
 
     prop = LinearPropagator(grid, m2, dt)
     if initial_tree1 is not None:
-        state = _TreeState(prop, c1, np.array(initial_tree1, dtype=float))
+        state = _TreeState(prop, c1, np.array(initial_tree1, dtype=float), store_every)
     else:
-        state = _TreeState.stationary(prop, c1, stream.standard_normals(), noise_amplitude)
+        state = _TreeState.stationary(prop, c1, stream.standard_normals(), store_every,
+                                      noise_amplitude)
     for k in range(1, n_steps + 1):
         if mode == "imex":
             state.step_imex(noise_amplitude * prop.noise_scale * stream.standard_normals())
@@ -219,9 +230,29 @@ def evolve_trees(
             state.step_exact(stream.standard_normals(), noise_amplitude)
         if not np.all(np.isfinite(state.t20)) or not np.all(np.isfinite(state.t30)):
             raise RuntimeError(f"sourced tree blow-up at step {k}: dt too large")
-        if k % store_every == 0:
-            state.store(k * dt)
+        state.store(k)
     return state.ensemble(c2, mode, stream.seed)
+
+
+def _co_evolve(cfg: SimConfig, u: np.ndarray, store_every: int, noise_amplitude: float,
+               on_store: Callable[[float, np.ndarray, np.ndarray], None]) -> TreeEnsemble:
+    """Co-evolve chain values (any leading batch shape) and the trees from one noise stream.
+
+    The chains use ``cfg.integrator``; tree1 advances by the linear-implicit solve with the
+    *same* increments, so ``u - tree1`` is smooth.  ``on_store(t, u, tree1)`` sees each store.
+    """
+    grid = cfg.grid()
+    stepper = _Stepper(cfg, grid)
+    stream = NoiseStream(cfg.seed, grid, stream_id=cfg.stream_id)
+    state = _TreeState.stationary(stepper.prop, compute_c1(grid, cfg.m2),
+                                  stream.standard_normals(), store_every, noise_amplitude)
+    for k in range(1, cfg.n_steps() + 1):
+        eta = noise_amplitude * stepper.noise_scale * stream.standard_normals()
+        u = step(stepper, u, eta, k)
+        state.step_imex(eta)
+        if state.store(k):
+            on_store(k * cfg.dt, u, state.t1)
+    return state.ensemble(compute_c2(grid, cfg.m2), "imex", cfg.seed)
 
 
 def evolve_with_chain(
@@ -231,33 +262,16 @@ def evolve_with_chain(
     store_every: int = 1,
     noise_amplitude: float = 1.0,
 ) -> tuple[TreeEnsemble, np.ndarray]:
-    """Co-evolve the chain and the tree ensemble from one noise stream.
+    """Co-evolve the chain and the trees (see :func:`_co_evolve`).
 
-    The chain uses ``cfg.integrator``; tree1 always advances by the shared
-    linear-implicit solve with the *same* increments, so ``v = u - tree1``
-    is the smooth remainder.  Returns the ensemble and the stored chain
-    trajectory (same decimation as the ensemble).
+    Returns the ensemble and the chain values at the same stored times.
     """
-    _check_store_every(store_every)
-    grid = cfg.grid()
-    if u0.grid != grid:
+    if u0.grid != cfg.grid():
         raise GridError("initial field lives on the wrong grid")
-    stepper = _Stepper(cfg, grid)
-    stream = NoiseStream(cfg.seed, grid, stream_id=cfg.stream_id)
-    c1 = compute_c1(grid, cfg.m2)
-    c2 = compute_c2(grid, cfg.m2)
-
-    u = u0.values.copy()
-    state = _TreeState.stationary(stepper.prop, c1, stream.standard_normals(), noise_amplitude)
-    u_stored = []
-    for k in range(1, cfg.n_steps() + 1):
-        eta = noise_amplitude * stepper.noise_scale * stream.standard_normals()
-        u = step(stepper, u, eta, k)
-        state.step_imex(eta)
-        if k % store_every == 0:
-            state.store(k * cfg.dt)
-            u_stored.append(u.copy())
-    return state.ensemble(c2, "imex", cfg.seed), np.array(u_stored)
+    u_stored: list[np.ndarray] = []
+    ens = _co_evolve(cfg, u0.values, store_every, noise_amplitude,
+                     lambda t, u, tree1: u_stored.append(u))
+    return ens, np.array(u_stored)
 
 
 @dataclass
@@ -358,49 +372,50 @@ def _center_pad(w: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _base_point_values(
-    ens: TreeEnsemble, kernels: DyadicKernelFamily, tau: str, idx: int
-) -> np.ndarray:
-    """Renormalised kernel average of tau at all base points, one scale."""
-    if tau in ("2", "3"):
-        return kernels.convolve(ens.stored[tau], idx)
-    if tau in ("20", "30"):
-        return kernels.convolve(ens.stored[tau], idx) - ens.stored[tau]
-    if tau == "22":
-        a = kernels.convolve(ens.product("22") - ens.c2, idx)
-        b = kernels.convolve(ens.stored["2"], idx)
-        return a - ens.stored["20"] * b
-    if tau == "31":
-        a = kernels.convolve(ens.product("31"), idx)
-        b = kernels.convolve(ens.stored["1"], idx)
-        return a - ens.stored["30"] * b
-    if tau == "32":
-        a = kernels.convolve(ens.product("32"), idx)
-        b = kernels.convolve(ens.stored["2"], idx)
-        return a - ens.stored["30"] * b
-    raise ValueError(f"unknown tree {tau!r}")
+def _profiles(ens: TreeEnsemble, kernels: DyadicKernelFamily, kappa: float, taus: tuple[str, ...],
+              domain: BoxRegion | None = None, site_stride: int = 2,
+              time_stride: int = 4) -> dict[str, np.ndarray]:
+    """Scale profiles of the trees ``taus`` (tree1 excluded) in one pass.
 
+    At each scale every distinct series is averaged once and cut to the base points at once;
+    tree2's average, which tree22 and tree32 reuse, is kept for the scale.  Every kernel sums
+    to 1, so c2 comes off after averaging.
+    """
+    averaged = [series for tau in taus
+                for series in (TREES[tau].factors, TREES[tau].factors[1:]) if series]
+    grid = ens.grid
+    strided = (slice(None, None, site_stride),) * grid.d
+    mask = np.ones(grid.shape, bool) if domain is None else domain.mask(grid)
+    sites = np.arange(grid.n_sites).reshape(grid.shape)[strided][mask[strided]]
+    if len(sites) == 0:
+        raise ValueError("localisation domain contains no base points")
 
-def _sup_over_base_points(
-    values: np.ndarray,
-    ens: TreeEnsemble,
-    domain: BoxRegion | None,
-    time_pad: int,
-    site_stride: int,
-    time_stride: int,
-) -> float:
-    t_idx = np.arange(time_pad, values.shape[0] - time_pad, time_stride)
-    if len(t_idx) == 0:
-        raise ValueError("no stored time lies clear of the kernel's time support")
-    sub = np.abs(values[t_idx])
-    spatial = (slice(None, None, site_stride),) * ens.grid.d
-    sub = sub[(slice(None),) + spatial]
-    if domain is not None:
-        mask = domain.mask(ens.grid)[spatial]
-        if not mask.any():
-            raise ValueError("localisation domain contains no base points")
-        sub = sub[:, mask]
-    return float(np.max(sub))
+    out = {tau: np.empty(kernels.n_scales) for tau in taus}
+    for idx, lam in enumerate(kernels.scales):
+        pad = kernels.time_pad(idx)
+        t_idx = np.arange(pad, ens.n_times - pad, time_stride)
+        if len(t_idx) == 0:
+            raise ValueError("no stored time lies clear of the kernel's time support")
+        points = np.ix_(t_idx, sites)  # base points: (stored time, site)
+        kept: dict[tuple[str, ...], np.ndarray] = {}
+
+        def average(series: tuple[str, ...]) -> np.ndarray:
+            if series not in kept:
+                product = functools.reduce(np.multiply, (ens.stored[name] for name in series))
+                kept[series] = kernels.convolve(product, idx).reshape(ens.n_times, -1)[points]
+            return kept[series] if averaged.count(series) > 1 else kept.pop(series)
+
+        for tau in taus:
+            tree = TREES[tau]
+            values = average(tree.factors)
+            if tree.sunset:
+                values = values - ens.c2
+            if tree.recentred:
+                first, *rest = tree.factors
+                base = ens.stored[first].reshape(ens.n_times, -1)[points]
+                values = values - (base * average(tuple(rest)) if rest else base)
+            out[tau][idx] = lam ** seminorm_exponent(tau, kappa) * np.max(np.abs(values))
+    return out
 
 
 def scale_profile(
@@ -418,12 +433,7 @@ def scale_profile(
     ``time_stride``-th stored time, restricted to ``domain`` (spatial box)
     when given.
     """
-    e = seminorm_exponent(tau, kappa)
-    return np.array([
-        lam**e * _sup_over_base_points(_base_point_values(ens, kernels, tau, idx), ens, domain,
-                                       kernels.time_pad(idx), site_stride, time_stride)
-        for idx, lam in enumerate(kernels.scales)
-    ])
+    return _profiles(ens, kernels, kappa, (tau,), domain, site_stride, time_stride)[tau]
 
 
 def seminorm(
@@ -454,7 +464,6 @@ class SeminormReport:
     kappa: float
     values: dict[str, float]
     domain: str
-    n_leaves: dict[str, int] = field(default_factory=lambda: dict(N_LEAVES))
 
     def rhs_candidates(self) -> dict[str, float]:
         """Per-tree terms ``[tau]^(2 / (n_tau (1 - kappa)))`` of the a priori bound."""
@@ -472,8 +481,10 @@ def seminorm_report(
     domain: BoxRegion | None = None,
     **kwargs,
 ) -> SeminormReport:
-    values = {tau: seminorm(tau, ens, kernels, kappa, domain=domain, **kwargs)
-              for tau in TREE_NAMES}
+    """All tree seminorms of one ensemble: tree1's proxy norm and one kernel pass."""
+    values = {"1": seminorm("1", ens, kernels, kappa, domain, **kwargs)}
+    profiles = _profiles(ens, kernels, kappa, tuple(TREES)[1:], domain, **kwargs)
+    values.update((tau, float(np.max(prof))) for tau, prof in profiles.items())
     for tau, val in values.items():
         if not (val >= 0.0 and np.isfinite(val)):
             raise RuntimeError(f"seminorm [{tau}] is not finite and nonnegative: {val}")

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import BatchChain, BlowUpError, SimConfig, _Stepper, step
+from .dynamics import BlowUpError, SimConfig, _Stepper, step
 from .lattice import (
     BoxRegion,
     Field,
@@ -48,10 +48,9 @@ from .potential import holder_norm_neg
 from .renorm import compute_c1, compute_c2
 from .trees import (
     DyadicKernelFamily,
-    _check_store_every,
+    _co_evolve,
     _TreeState,
     seminorm_report,
-    evolve_with_chain,
 )
 
 __all__ = [
@@ -196,46 +195,42 @@ def max_principle_battery(
 # a priori bound batteries
 
 
-def _initial_profile(grid: LatticeGrid, magnitude: float) -> Field:
-    """Deterministic smooth profile of unit sup-norm, scaled to ``magnitude``."""
+def _initial_profiles(grid: LatticeGrid, magnitudes: Sequence[float]) -> np.ndarray:
+    """Deterministic smooth profile of unit sup-norm, scaled to each magnitude in turn."""
     coords = grid.site_coords()
     phase = np.zeros(grid.shape)
     for axis in range(grid.d):
         phase += np.cos(2.0 * np.pi * coords[..., axis] / grid.L + 0.7 * axis)
     v = phase / grid.d
-    return Field(grid, magnitude * v / np.max(np.abs(v)))
+    return np.multiply.outer(magnitudes, v) / np.max(np.abs(v))
 
 
-def _apriori_entry(
-    cfg: SimConfig,
-    magnitude: float,
-    R: float,
-    kappa: float,
-    kernels: DyadicKernelFamily,
-    store_every: int,
-    domain_lhs: BoxRegion | None = None,
-    domain_semi: BoxRegion | None = None,
-) -> dict:
+def _add_apriori_entries(report: BoundReport, cfg: SimConfig, magnitudes: Sequence[float],
+                         R: float, kappa: float, store_every: int,
+                         domain_lhs: BoxRegion | None = None,
+                         domain_semi: BoxRegion | None = None, **extra) -> None:
+    """One entry per magnitude for one seed, from one tree ensemble and one report.
+
+    The chains of all magnitudes step as one batch on the seed's noise, taking
+    ``sup |u - tree1|`` over ``t >= R^2`` as they go.
+    """
     grid = cfg.grid()
-    u0 = _initial_profile(grid, magnitude)
-    ens, u_stored = evolve_with_chain(cfg, u0, store_every=store_every)
-    v = u_stored - ens.stored["1"]
-    in_window = ens.times >= R**2
-    vv = np.abs(v[in_window])
-    if domain_lhs is not None:
-        vv = vv[:, domain_lhs.mask(grid)]
-    lhs = float(np.max(vv))
-    report = seminorm_report(ens, kernels, kappa, domain=domain_semi)
-    tree_terms = report.rhs_candidates()
-    rhs = max(1.0 / R, max(tree_terms.values()))
-    return {
-        "seed": cfg.seed,
-        "magnitude": magnitude,
-        "lhs": lhs,
-        "rhs": rhs,
-        "tree_terms": tree_terms,
-        "seminorms": report.values,
-    }
+    mask = np.ones(grid.shape, bool) if domain_lhs is None else domain_lhs.mask(grid)
+    lhs = np.zeros(len(magnitudes))
+
+    def sup_remainder(t: float, u: np.ndarray, tree1: np.ndarray) -> None:
+        if t >= R**2:
+            np.maximum(lhs, np.max(np.abs(u - tree1)[:, mask], axis=1), out=lhs)
+
+    ens = _co_evolve(cfg, _initial_profiles(grid, magnitudes), store_every, 1.0, sup_remainder)
+    if not np.any(ens.times >= R**2):
+        raise ValueError(f"no stored time lies in the window t >= R^2 = {R**2}")
+    kernels = DyadicKernelFamily(grid, store_dt=cfg.dt * store_every)
+    semi = seminorm_report(ens, kernels, kappa, domain=domain_semi)
+    rhs = max(1.0 / R, max(semi.rhs_candidates().values()))
+    for mag, sup in zip(magnitudes, lhs):
+        report.add(lhs=float(sup), rhs=rhs, seed=cfg.seed, magnitude=mag, **extra,
+                   seminorms=dict(semi.values))
 
 
 def check_apriori(
@@ -253,16 +248,10 @@ def check_apriori(
     """Battery for the global bound over seeds and initial magnitudes."""
     if not 0.0 < R < 1.0:
         raise ValueError(f"R must lie in (0, 1), got {R}")
-    _check_store_every(store_every)
     report = BoundReport(name="apriori", c_max=c_max)
-    grid = build_grid(d, L, N)
-    kernels = DyadicKernelFamily(grid, store_dt=dt * store_every)
     for seed in seeds:
-        for mag in magnitudes:
-            cfg = SimConfig(d=d, L=L, N=N, dt=dt, t_end=1.0, integrator="split", seed=seed)
-            entry = _apriori_entry(cfg, mag, R, kappa, kernels, store_every)
-            report.add(lhs=entry["lhs"], rhs=entry["rhs"], seed=seed, magnitude=mag,
-                       seminorms=entry["seminorms"])
+        cfg = SimConfig(d=d, L=L, N=N, dt=dt, t_end=1.0, integrator="split", seed=seed)
+        _add_apriori_entries(report, cfg, magnitudes, R, kappa, store_every)
     return report
 
 
@@ -293,20 +282,14 @@ def check_apriori_localised(
         )
     if L < 2.0 * N_box:
         raise GridError(f"torus extent {L} smaller than the localisation box {2 * N_box}")
-    _check_store_every(store_every)
-    grid = build_grid(d, L, N)
     box_semi = BoxRegion((-N_box,) * d, (N_box,) * d)
     box_lhs = BoxRegion((-N_box + R,) * d, (N_box - R,) * d)
-    kernels = DyadicKernelFamily(grid, store_dt=dt * store_every)
     report = BoundReport(name="apriori_localised", c_max=c_max)
     for seed in seeds:
-        for mag in magnitudes:
-            cfg = SimConfig(d=d, L=L, N=N, dt=dt, t_end=1.0, integrator="split",
-                            seed=seed, psi_radius=psi_radius)
-            entry = _apriori_entry(cfg, mag, R, kappa, kernels, store_every,
-                                   domain_lhs=box_lhs, domain_semi=box_semi)
-            report.add(lhs=entry["lhs"], rhs=entry["rhs"], seed=seed, magnitude=mag,
-                       L=L, seminorms=entry["seminorms"])
+        cfg = SimConfig(d=d, L=L, N=N, dt=dt, t_end=1.0, integrator="split",
+                        seed=seed, psi_radius=psi_radius)
+        _add_apriori_entries(report, cfg, magnitudes, R, kappa, store_every,
+                             domain_lhs=box_lhs, domain_semi=box_semi, L=L)
     return report
 
 
@@ -320,15 +303,15 @@ def coming_down_check(
     seed: int,
     kappa: float = 0.2,
 ) -> dict:
-    """Norm of the chain at ``t_snapshot`` for each initial magnitude, one seed."""
-    alpha = -0.5 - kappa
-    norms = {}
-    for mag in magnitudes:
-        cfg = SimConfig(d=d, L=L, N=N, dt=dt, t_end=t_snapshot, integrator="split", seed=seed)
-        grid = cfg.grid()
-        batch = BatchChain(cfg, 1, initial=_initial_profile(grid, mag).values[None])
-        batch.advance(cfg.n_steps())
-        norms[mag] = holder_norm_neg(Field(grid, batch.values[0]), alpha)
+    """Norm of the chain at ``t_snapshot`` per initial magnitude, all on one seed's noise."""
+    cfg = SimConfig(d=d, L=L, N=N, dt=dt, t_end=t_snapshot, integrator="split", seed=seed)
+    grid = cfg.grid()
+    stepper = _Stepper(cfg, grid)
+    stream = NoiseStream(seed, grid, stream_id=cfg.stream_id)
+    u = _initial_profiles(grid, magnitudes)
+    for k in range(1, cfg.n_steps() + 1):
+        u = step(stepper, u, stepper.noise_scale * stream.standard_normals(), k)
+    norms = {mag: holder_norm_neg(Field(grid, v), -0.5 - kappa) for mag, v in zip(magnitudes, u)}
     vals = list(norms.values())
     return {
         "norms": norms,
@@ -360,7 +343,6 @@ def volume_pair_seminorms(
     beyond statistical factors: behaviour far from the box cannot influence
     the localised bound.
     """
-    _check_store_every(store_every)
     grid_s = build_grid(d, L, N)
     grid_l = build_grid(d, 2.0 * L, N)
     stream = NoiseStream(seed, grid_l, stream_id=17)
@@ -368,7 +350,8 @@ def volume_pair_seminorms(
 
     white0 = stream.standard_normals()
     states = {
-        tag: _TreeState.stationary(LinearPropagator(grid, m2, dt), compute_c1(grid, m2), w0)
+        tag: _TreeState.stationary(LinearPropagator(grid, m2, dt), compute_c1(grid, m2), w0,
+                                   store_every)
         for tag, grid, w0 in (("small", grid_s, white0[restrict]), ("large", grid_l, white0))
     }
     noise_scale = states["small"].prop.noise_scale
@@ -376,8 +359,7 @@ def volume_pair_seminorms(
         white = stream.standard_normals()
         for tag, w in (("small", white[restrict]), ("large", white)):
             states[tag].step_imex(noise_scale * w)
-            if k % store_every == 0:
-                states[tag].store(k * dt)
+            states[tag].store(k)
 
     box = BoxRegion((-N_box,) * d, (N_box,) * d)
     out = {}

@@ -93,6 +93,12 @@ class TestAprioriBound:
             with pytest.raises(ValueError, match="store_every"):
                 call()
 
+    def test_empty_window_rejected(self):
+        # with R = 0.9 the only stored time, 0.6, lies before the window t >= 0.81
+        with pytest.raises(ValueError, match="window"):
+            check_apriori(d=1, N=3, dt=0.01, R=0.9, magnitudes=(1.0,), seeds=(0,),
+                          store_every=60)
+
     def test_coming_down_spread(self):
         res = coming_down_check(d=1, L=1.0, N=4, dt=1e-3, t_snapshot=0.25,
                                 magnitudes=(1.0, 1e3, 1e6), seed=0)
