@@ -260,7 +260,7 @@ class TestLocalize:
 
     @pytest.mark.parametrize("lo, hi", [((-0.5, -0.5, 5.0), (0.5, 0.5, 6.0)), ((-0.5,), (0.5,))])
     def test_box_dimension_must_match_grid(self, lo, hi):
-        # a 3-d box used to drop its third bound, a 1-d box to fail with IndexError
+        # neither drop a 3-d box's third bound nor index past a 1-d box's bounds
         with pytest.raises(GridError, match=rf"{len(lo)}-d lower .* 2-d grid"):
             BoxRegion(lo, hi).mask(build_grid(2, 1.0, 3))
 

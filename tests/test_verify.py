@@ -79,7 +79,7 @@ class TestAprioriBound:
             check_apriori_localised(d=1, L=0.5, N=4, R=0.05, N_box=0.45, psi_radius=0.3)
 
     def test_store_every_below_one_rejected(self):
-        # store_every = 0 used to end in ZeroDivisionError
+        # store_every = 0 must fail before it reaches k % store_every
         cfg = SimConfig(d=1, N=3, dt=0.01, t_end=0.1)
         g = cfg.grid()
         calls = (
