@@ -15,6 +15,7 @@ single underlying white noise.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,19 @@ import numpy as np
 from .lattice import Field, GridError, LatticeGrid, project
 
 __all__ = ["NoiseStream", "NoiseIncrement", "draw_increment", "coarsen"]
+
+# Draws of at least this many values prefetch the next draw on a worker thread;
+# below it the hand-off costs more than the draw.
+_PREFETCH_MIN = 8192
+_executor: ThreadPoolExecutor | None = None
+
+
+def _worker() -> ThreadPoolExecutor:
+    """The one prefetch thread, started by the first draw that needs it."""
+    global _executor
+    if _executor is None:
+        _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phi4-noise")
+    return _executor
 
 
 @dataclass
@@ -43,26 +57,57 @@ class NoiseStream:
     One stream has one owner; drawing advances ``counter`` by 1.  Distinct
     ``stream_id`` values (chain index, suite index, ...) derived from one
     config seed give statistically independent streams.
+
+    A draw of at least :data:`_PREFETCH_MIN` values submits the draw at
+    ``counter + 1`` of the same shape to a worker thread, so the next call
+    can take it while the caller computes.  The next call uses it only when
+    ``(seed, stream_id, counter, shape)`` still match; otherwise (a counter
+    reset on resume, a new shape or stream id) it draws in the calling thread.
+    Each draw depends only on that key, so the bytes are the same either way.
     """
 
     seed: int
     grid: LatticeGrid
     stream_id: int = 0
     counter: int = 0
+    _gen: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
+    _pending: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _generator(self, draw_index: int) -> np.random.Generator:
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_id & 0xFFFFFFFFFFFFFFFF],
-                       dtype=np.uint64)
-        ctr = np.array([0, 0, draw_index & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(counter=ctr, key=key))
+        """The stream's one generator, reset to the start of draw ``draw_index``."""
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(0))
+        mask = 0xFFFFFFFFFFFFFFFF
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, draw_index & mask, 0),
+                      "key": (self.seed & mask, self.stream_id & mask)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return self._gen
 
     def standard_normals(self, shape: tuple[int, ...] | None = None) -> np.ndarray:
         """One batch of unit normals at the current counter; advances it."""
         if shape is None:
             shape = self.grid.shape
-        gen = self._generator(self.counter)
+        key = (self.seed, self.stream_id, self.counter, shape)
+        out = None
+        if self._pending is not None:
+            # resolved, hit or miss, before the generator is touched again
+            pending_key, future = self._pending
+            self._pending = None
+            drawn = future.result()
+            if pending_key == key:
+                out = drawn
+        if out is None:
+            out = self._generator(self.counter).standard_normal(shape)
         self.counter += 1
-        return gen.standard_normal(shape)
+        if out.size >= _PREFETCH_MIN:
+            # allocated here, not in the worker, so the worker thread keeps no malloc arena
+            buf = np.empty(shape)
+            gen = self._generator(self.counter)
+            self._pending = ((self.seed, self.stream_id, self.counter, shape),
+                             _worker().submit(gen.standard_normal, out=buf))
+        return out
 
     def draw(self, dt: float) -> NoiseIncrement:
         return draw_increment(self, dt)

@@ -27,6 +27,21 @@ def test_submodule_imports_first(module):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_small_run_starts_no_thread():
+    # importing the package and drawing below the noise prefetch size stays single-threaded
+    code = ("import threading\n"
+            "import phi4lattice\n"
+            "from phi4lattice.dynamics import SimConfig, run_chain\n"
+            "run_chain(SimConfig(d=1, N=3, dt=0.01, t_end=0.2))\n"
+            "print(threading.active_count())\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+
+
 def test_no_import_inside_a_function():
     found = []
     for path in sorted(PKG.glob("*.py")):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from phi4lattice import noise
 from phi4lattice.lattice import GridError, LatticeGrid, build_grid
 from phi4lattice.noise import NoiseIncrement, NoiseStream, coarsen, draw_increment
+
+from test_trees import NegatedStream
 
 
 class TestDraw:
@@ -56,6 +59,56 @@ class TestDraw:
         t = NoiseStream(s.seed, g, stream_id=9)
         assert t.seed == 5 and t.stream_id == 9 and t.counter == 0
         assert not np.array_equal(s.draw(0.1).values, t.draw(0.1).values)
+
+
+class TestPrefetch:
+    """Draws above the prefetch size keep the bytes of a fresh stream at every counter."""
+
+    BIG = (2, noise._PREFETCH_MIN)
+    OTHER = (noise._PREFETCH_MIN + 5,)
+
+    @staticmethod
+    def draw_and_check(stream, shape):
+        k = stream.counter
+        got = stream.standard_normals(shape)
+        fresh = type(stream)(stream.seed, stream.grid, stream.stream_id, counter=k)
+        assert got.tobytes() == fresh.standard_normals(shape).tobytes(), (k, shape)
+
+    def test_sequential_draws_prefetch(self):
+        s = NoiseStream(11, build_grid(1, 1.0, 3), stream_id=2)
+        for _ in range(6):
+            self.draw_and_check(s, self.BIG)
+            assert s._pending is not None  # the next draw is in flight
+        small = NoiseStream(11, build_grid(1, 1.0, 3))
+        small.standard_normals()
+        assert small._pending is None
+
+    def test_interleaved_shapes(self):
+        s = NoiseStream(12, build_grid(2, 1.0, 3))
+        for shape in (self.BIG, self.OTHER, self.OTHER, None, self.BIG, self.BIG, None):
+            self.draw_and_check(s, shape)
+
+    def test_counter_reset_mid_stream(self):
+        # the resume pattern of ``phi4 run``: the counter is set back to a snapshot's step
+        s = NoiseStream(13, build_grid(1, 1.0, 3))
+        for counter in (None, None, None, 1, None, None, 0, 7, None):
+            if counter is not None:
+                s.counter = counter
+            self.draw_and_check(s, self.BIG)
+
+    def test_stream_id_changed_between_draws(self):
+        s = NoiseStream(14, build_grid(1, 1.0, 3))
+        for stream_id in (0, 0, 5, 5, 0, 9):
+            s.stream_id = stream_id
+            self.draw_and_check(s, self.BIG)
+
+    def test_subclass(self):
+        s = NegatedStream(15, build_grid(1, 1.0, 3))
+        for shape in (self.BIG, self.BIG, self.OTHER, self.BIG):
+            self.draw_and_check(s, shape)
+        plain = NoiseStream(15, build_grid(1, 1.0, 3), counter=1)
+        assert np.array_equal(NegatedStream(15, plain.grid, counter=1).standard_normals(self.BIG),
+                              -plain.standard_normals(self.BIG))
 
 
 class TestCoarsen:

@@ -21,9 +21,14 @@ from phi4lattice import dynamics, noise, lattice, potential, renorm, trees
 
 # built before install, as a propagator kept across traced and untraced runs would be
 batch = dynamics.BatchChain(dynamics.SimConfig(d=2, N=2, dt=0.01, integrator="imex"), 2)
+# 16 chains of 32x32 sites: each draw is above the noise prefetch size
+big = dynamics.BatchChain(dynamics.SimConfig(d=2, N=5, dt=0.01, integrator="imex"), 16)
+assert big.values.size >= noise._PREFETCH_MIN
 tracer = Tracer()
 tracer.install()
 batch.advance(3)
+big.advance(4)
+stepped = tracer.metrics()
 inc = noise.NoiseStream(0, lattice.build_grid(2, 1.0, 3)).draw(0.01)
 noise.coarsen(inc)
 renorm.compute_c2(lattice.build_grid(3, 1.0, 2))
@@ -32,7 +37,7 @@ field = lattice.Field(grid, batch.values[0].repeat(2, 0).repeat(2, 1))
 trees.holder_norm_neg(field, -0.7)
 potential.sobolev_norm_sq(field, 0.6)
 trees.DyadicKernelFamily(grid, store_dt=0.01).convolve(field.values[None], 0)
-print(json.dumps({"bindings": tracer.bindings, "metrics": tracer.metrics()}))
+print(json.dumps({"bindings": tracer.bindings, "metrics": tracer.metrics(), "stepped": stepped}))
 """
 
 
@@ -48,9 +53,14 @@ def test_every_span_target_binds():
     for target in ("dynamics._Stepper.advance", "trees.evolve_trees", "trees.evolve_with_chain",
                    "verify.volume_pair_seminorms", "noise.coarsen"):
         assert bindings[target] > 0, target
+    # one noise span and one step count per batch draw, also when the draw was prefetched
+    stepped = report["stepped"]
+    assert stepped["noise.calls"] == 3 + 4
+    assert stepped["noise.values"] == 3 * 2 * 4**2 + 4 * 16 * 32**2
+    assert stepped["dynamics.steps"] == 2 * 3 + 16 * 4
     metrics = report["metrics"]
     # _Stepper.advance reads stepper.grid; the propagator's transforms reach the FFT hook
-    assert metrics["dynamics.steps"] == 2 * 3
+    assert metrics["dynamics.steps"] == 2 * 3 + 16 * 4
     assert metrics["dynamics.fft_calls"] > 0
     assert metrics["noise.calls"] > 0
     # the sunset sums are FFT convolutions; their transforms must reach the hook too

@@ -106,13 +106,10 @@ class TestAprioriBound:
 
 
 class TestConvergence:
-    def test_identical_levels_zero_distance(self):
-        # degenerate check through the machinery: a level compared against
-        # itself must produce exactly zero coupling error
-        rms = linear_coupling_oracle(n_level=5, n_ref=5 + 0, L=1.0, dt=1e-2) if False else None
+    def test_coarser_level_differs_from_reference(self):
         conv = convergence_study(levels=[5], n_ref=6, d=1, dt=5e-3, t_end=0.25,
                                  seed=0, quadratic=True, record_every=4)
-        assert conv.sup_proxy_distance[5] > 0.0  # different levels do differ
+        assert conv.sup_proxy_distance[5] > 0.0
 
     def test_distances_decrease_in_level(self):
         conv = convergence_study(levels=[3, 4, 5], n_ref=7, d=1, dt=5e-3,
@@ -136,8 +133,11 @@ class TestConvergence:
             assert conv.rms_observable_distance[n] == pytest.approx(exact, rel=0.2)
 
     def test_level_validation(self):
+        # a level identical to the reference, or finer, is refused before any step
         with pytest.raises(GridError):
             convergence_study(levels=[6], n_ref=6, d=1)
+        with pytest.raises(GridError):
+            convergence_study(levels=[3, 7], n_ref=6, d=1)
 
 
 class TestInitRate:
