@@ -25,9 +25,9 @@ import numpy as np
 import pytest
 
 from phi4lattice.dynamics import BatchChain, SimConfig, run_chain
-from phi4lattice.lattice import Field, build_grid
+from phi4lattice.lattice import BoxRegion, Field, build_grid
 from phi4lattice.noise import NoiseStream, coarsen
-from phi4lattice.trees import evolve_trees, evolve_with_chain
+from phi4lattice.trees import DyadicKernelFamily, evolve_trees, evolve_with_chain, seminorm_report
 from phi4lattice.verify import (
     check_apriori,
     check_apriori_localised,
@@ -108,6 +108,19 @@ def _volume_pair():
     return {f"{tag}[{tau}]": v for tag, rep in res.items() for tau, v in rep.values.items()}
 
 
+def _seminorms_wide_time():
+    # storage step 3e-4: the time kernels of the two coarsest scales have 17 and 5 taps,
+    # none of them zero, so every tap and the time padding reach the pinned values
+    grid = build_grid(2, 1.0, 3)
+    ens = evolve_trees(grid, dt=3e-4, n_steps=120, seed=4, store_every=1)
+    kernels = DyadicKernelFamily(grid, store_dt=3e-4)
+    out = {"time_points": [entry["time_points"] for entry in kernels.table()]}
+    for tag, box in (("full", None), ("box", BoxRegion((-0.3, -0.2), (0.25, 0.4)))):
+        rep = seminorm_report(ens, kernels, 0.2, domain=box)
+        out.update({f"{tag}[{tau}]": v for tau, v in rep.values.items()})
+    return out
+
+
 def _bound_entries(report):
     out = {}
     for e in report.entries:
@@ -161,6 +174,7 @@ CASES = {
     "trees_initial": _trees_initial,
     "evolve_with_chain": _with_chain,
     "volume_pair": _volume_pair,
+    "seminorms_wide_time": _seminorms_wide_time,
     "apriori_d1": lambda: _apriori(1, 3),
     "apriori_d3": lambda: _apriori(3, 2),
     "apriori_localised": _apriori_localised,
