@@ -176,8 +176,9 @@ class _TreeState:
         return True
 
     def ensemble(self, c2: float, mode: str, seed: int) -> TreeEnsemble:
+        """Hand the stored series over as arrays; each list is dropped once its array is built."""
         p = self.prop
-        stored = {k: np.array(v) for k, v in self.stored.items()}
+        stored = {k: np.array(self.stored.pop(k)) for k in tuple(self.stored)}
         return TreeEnsemble(grid=p.grid, times=np.array(self.times), dt=p.dt, c1=self.c1,
                             c2=c2, m2=p.m2, stored=stored, mode=mode, seed=seed)
 
@@ -315,22 +316,36 @@ class DyadicKernelFamily:
     def time_pad(self, idx: int) -> int:
         return (len(self._time_kernels[idx]) - 1) // 2
 
-    def convolve(self, arr: np.ndarray, idx: int) -> np.ndarray:
-        """Space-time kernel average of a stored (T, *shape) trajectory.
+    def base_times(self, idx: int, n_times: int, time_stride: int = 1) -> np.ndarray:
+        """Every ``time_stride``-th stored time that the scale-``idx`` kernel fully covers."""
+        pad = self.time_pad(idx)
+        return np.arange(pad, n_times - pad, time_stride)
 
-        Entries within ``time_pad(idx)`` of the window edges are only
-        partially covered and must be excluded from suprema by the caller.
+    def convolve(self, arr: np.ndarray, time_stride: int = 1) -> list[np.ndarray]:
+        """Space-time kernel averages of a stored (T, *shape) trajectory, one per scale.
+
+        Scale ``i``'s average is taken at its :meth:`base_times` only.  The stored times
+        these averages read are transformed once for all scales; each scale then makes one
+        inverse transform and sums its time taps.
         """
-        out = self._spectrum.apply(arr, self._multipliers[idx])
-        tk = self._time_kernels[idx]
-        if len(tk) == 1:
-            return out
-        acc = np.zeros_like(out)
-        pad = (len(tk) - 1) // 2
-        for m, w in enumerate(tk):
-            shift = m - pad
-            acc += w * np.roll(out, -shift, axis=0)
-        return acc
+        sp = self._spectrum
+        taps = [self.base_times(i, len(arr), time_stride)[:, None]
+                + np.arange(-self.time_pad(i), self.time_pad(i) + 1) for i in range(self.n_scales)]
+        read = np.unique(np.concatenate([t.ravel() for t in taps]))
+        spec = sp.fft(arr[read])
+        out = []
+        for mult, weights, t in zip(self._multipliers, self._time_kernels, taps):
+            used = np.unique(t)
+            smooth = sp.ifft(spec[np.searchsorted(read, used)] * mult)
+            if len(weights) == 1:
+                out.append(smooth)
+                continue
+            rows = np.searchsorted(used, t)  # rows[:, m]: tap m of every base time
+            acc = np.zeros((len(t),) + smooth.shape[1:])
+            for m, w in enumerate(weights):
+                acc += w * smooth[rows[:, m]]
+            out.append(acc)
+        return out
 
     def spatial_kernel(self, idx: int) -> np.ndarray:
         """Real-space kernel values (sum exactly 1)."""
@@ -377,45 +392,46 @@ def _profiles(ens: TreeEnsemble, kernels: DyadicKernelFamily, kappa: float, taus
               time_stride: int = 4) -> dict[str, np.ndarray]:
     """Scale profiles of the trees ``taus`` (tree1 excluded) in one pass.
 
-    At each scale every distinct series is averaged once and cut to the base points at once;
-    tree2's average, which tree22 and tree32 reuse, is kept for the scale.  Every kernel sums
-    to 1, so c2 comes off after averaging.
+    Every distinct series is averaged at every scale by one ``convolve`` call, and each
+    scale's average is cut to the base sites at once.  Every kernel sums to 1, so c2 comes
+    off after averaging.
     """
-    averaged = [series for tau in taus
-                for series in (TREES[tau].factors, TREES[tau].factors[1:]) if series]
     grid = ens.grid
     strided = (slice(None, None, site_stride),) * grid.d
     mask = np.ones(grid.shape, bool) if domain is None else domain.mask(grid)
     sites = np.arange(grid.n_sites).reshape(grid.shape)[strided][mask[strided]]
     if len(sites) == 0:
         raise ValueError("localisation domain contains no base points")
+    times = [kernels.base_times(idx, ens.n_times, time_stride) for idx in range(kernels.n_scales)]
+    if any(len(t) == 0 for t in times):
+        raise ValueError("no stored time lies clear of the kernel's time support")
+
+    averages = {}
+    for series in dict.fromkeys(series for tau in taus for series in
+                                (TREES[tau].factors, TREES[tau].factors[1:]) if series):
+        product = functools.reduce(np.multiply, (ens.stored[name] for name in series))
+        averages[series] = [avg.reshape(len(avg), -1)[:, sites]
+                            for avg in kernels.convolve(product, time_stride)]
+        del product  # one product alive at a time
 
     out = {tau: np.empty(kernels.n_scales) for tau in taus}
-    for idx, lam in enumerate(kernels.scales):
-        pad = kernels.time_pad(idx)
-        t_idx = np.arange(pad, ens.n_times - pad, time_stride)
-        if len(t_idx) == 0:
-            raise ValueError("no stored time lies clear of the kernel's time support")
-        points = np.ix_(t_idx, sites)  # base points: (stored time, site)
-        kept: dict[tuple[str, ...], np.ndarray] = {}
-
-        def average(series: tuple[str, ...]) -> np.ndarray:
-            if series not in kept:
-                product = functools.reduce(np.multiply, (ens.stored[name] for name in series))
-                kept[series] = kernels.convolve(product, idx).reshape(ens.n_times, -1)[points]
-            return kept[series] if averaged.count(series) > 1 else kept.pop(series)
-
+    for idx, (lam, t) in enumerate(zip(kernels.scales, times)):
         for tau in taus:
             tree = TREES[tau]
-            values = average(tree.factors)
+            values = averages[tree.factors][idx]
             if tree.sunset:
                 values = values - ens.c2
             if tree.recentred:
                 first, *rest = tree.factors
-                base = ens.stored[first].reshape(ens.n_times, -1)[points]
-                values = values - (base * average(tuple(rest)) if rest else base)
+                base = ens.stored[first].reshape(ens.n_times, -1)[np.ix_(t, sites)]
+                values = values - (base * averages[tuple(rest)][idx] if rest else base)
             out[tau][idx] = lam ** seminorm_exponent(tau, kappa) * np.max(np.abs(values))
     return out
+
+
+def _check_kappa(kappa: float) -> None:
+    if not 0.0 < kappa < 0.25:
+        raise ValueError(f"kappa must lie in (0, 1/4), got {kappa}")
 
 
 def scale_profile(
@@ -431,8 +447,12 @@ def scale_profile(
 
     Base points run over every ``site_stride``-th site and every
     ``time_stride``-th stored time, restricted to ``domain`` (spatial box)
-    when given.
+    when given.  tree1 has no kernel profile: :func:`seminorm` measures it
+    by the Holder proxy.
     """
+    _check_kappa(kappa)
+    if tau == "1":
+        raise ValueError("tree 1 has no kernel scale profile; its seminorm is the Holder proxy")
     return _profiles(ens, kernels, kappa, (tau,), domain, site_stride, time_stride)[tau]
 
 
@@ -450,8 +470,7 @@ def seminorm(
     For ``tau='1'`` this returns the time-sup of the negative-Holder proxy
     norm at regularity -1/2-kappa.
     """
-    if not 0.0 < kappa < 0.25:
-        raise ValueError(f"kappa must lie in (0, 1/4), got {kappa}")
+    _check_kappa(kappa)
     if tau == "1":
         return holder_seminorm_one(ens, kappa, domain=domain, time_stride=time_stride)
     return float(np.max(scale_profile(tau, ens, kernels, kappa, domain, site_stride, time_stride)))

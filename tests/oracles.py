@@ -107,8 +107,14 @@ def seminorm_brute(
     scales: list[float],
     exponent: float,
     tau: str,
+    time_stride: int = 1,
+    site_stride: int = 1,
 ) -> float:
-    """Triple-loop evaluation of the dyadic seminorm on a tiny d=1 ensemble."""
+    """Triple-loop evaluation of the dyadic seminorm on a tiny d=1 ensemble.
+
+    Base points are every ``time_stride``-th stored time from the kernel's time
+    padding on and every ``site_stride``-th site.
+    """
     first = next(iter(stored.values()))
     n_t, n_x = first.shape
 
@@ -125,8 +131,8 @@ def seminorm_brute(
     for idx, lam in enumerate(scales):
         ks, kt = spatial_kernels[idx], time_kernels[idx]
         pad = (len(kt) - 1) // 2
-        for t in range(pad, n_t - pad):
-            for x in range(n_x):
+        for t in range(pad, n_t - pad, time_stride):
+            for x in range(0, n_x, site_stride):
                 if tau in ("2", "3"):
                     val = conv(stored[tau], ks, kt, t, x)
                 elif tau in ("20", "30"):

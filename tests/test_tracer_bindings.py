@@ -36,7 +36,7 @@ grid = lattice.build_grid(2, 1.0, 3)
 field = lattice.Field(grid, batch.values[0].repeat(2, 0).repeat(2, 1))
 trees.holder_norm_neg(field, -0.7)
 potential.sobolev_norm_sq(field, 0.6)
-trees.DyadicKernelFamily(grid, store_dt=0.01).convolve(field.values[None], 0)
+trees.DyadicKernelFamily(grid, store_dt=0.01).convolve(field.values[None])
 print(json.dumps({"bindings": tracer.bindings, "metrics": tracer.metrics(), "stepped": stepped}))
 """
 

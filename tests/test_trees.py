@@ -131,12 +131,15 @@ class TestKernels:
         for err in kern.semigroup_errors():
             assert err < 1e-2
 
-    def test_convolution_of_constant(self):
+    @pytest.mark.parametrize("store_dt", [0.05, 5e-4])  # 1-tap and up to 11-tap time kernels
+    def test_convolution_of_constant(self, store_dt):
         g = build_grid(1, 1.0, 4)
-        kern = DyadicKernelFamily(g, store_dt=0.05)
-        arr = np.full((6,) + g.shape, 3.25)
-        for idx in range(kern.n_scales):
-            out = kern.convolve(arr, idx)
+        kern = DyadicKernelFamily(g, store_dt=store_dt)
+        arr = np.full((16,) + g.shape, 3.25)
+        averages = kern.convolve(arr)
+        assert len(averages) == kern.n_scales
+        for idx, out in enumerate(averages):
+            assert out.shape == (16 - 2 * kern.time_pad(idx),) + g.shape
             assert np.allclose(out, 3.25, rtol=1e-12)
 
 
@@ -180,6 +183,24 @@ class TestSeminorm:
             got = seminorm(tau, ens, kern, 0.2, site_stride=1, time_stride=1)
             assert got == pytest.approx(expected, rel=1e-10), tau
 
+    def test_brute_force_oracle_multi_tap(self):
+        # storage step 5e-4: 11- and 3-tap time kernels, base points on strided times and sites
+        g = build_grid(1, 1.0, 3)
+        rng = np.random.default_rng(12)
+        stored = {k: rng.standard_normal((41,) + g.shape) for k in ("1", "2", "3", "20", "30")}
+        c2 = 0.37
+        ens = make_ensemble(g, stored, c2=c2, dt=5e-4)
+        kern = DyadicKernelFamily(g, store_dt=5e-4, j_list=(1, 2))
+        assert [e["time_points"] for e in kern.table()] == [11, 3]
+        spatial = [kern.spatial_kernel(i) for i in range(kern.n_scales)]
+        for tau in ("2", "3", "20", "30", "22", "31", "32"):
+            expected = seminorm_brute(
+                stored, c2, spatial, kern._time_kernels, list(kern.scales),
+                seminorm_exponent(tau, 0.2), tau, time_stride=4, site_stride=2,
+            )
+            got = seminorm(tau, ens, kern, 0.2, site_stride=2, time_stride=4)
+            assert got == pytest.approx(expected, rel=1e-10), tau
+
     def test_localised_below_global(self):
         ens = small_ensemble(seed=17, n_steps=64, c2=0.1)
         kern = DyadicKernelFamily(ens.grid, store_dt=ens.dt)
@@ -194,6 +215,15 @@ class TestSeminorm:
         kern = DyadicKernelFamily(ens.grid, store_dt=ens.dt)
         with pytest.raises(ValueError):
             seminorm("2", ens, kern, 0.3)
+
+    def test_scale_profile_rejects_tree1_and_bad_kappa(self):
+        ens = small_ensemble(seed=1, n_steps=16, c2=0.0)
+        kern = DyadicKernelFamily(ens.grid, store_dt=ens.dt)
+        with pytest.raises(ValueError, match="Holder proxy"):
+            scale_profile("1", ens, kern, 0.2)
+        for kappa in (0.0, 0.25, -0.1, 0.3):
+            with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1/4\)"):
+                scale_profile("2", ens, kern, kappa)
 
     def test_report_nonnegative_finite(self):
         ens = small_ensemble(seed=23, n_steps=64, c2=0.1)
