@@ -68,6 +68,19 @@ def _batch_exact_gaussian():
     return {"start": start, "final": batch.values, "pairings": batch.pairings()}
 
 
+def _batch_tilted(integrator, d, N, n_chains, dt, psi_radius, beta, start=None):
+    cfg = SimConfig(d=d, N=N, dt=dt, t_end=1.0, integrator=integrator, seed=8, stream_id=2,
+                    beta=beta, potential_n=3, psi_radius=psi_radius)
+    batch = BatchChain(cfg, n_chains)
+    if start is not None:
+        batch.values = np.multiply.outer(start, np.ones(cfg.grid().shape))
+    pairings = batch.sample_pairings(4, 10)
+    spatial = tuple(range(1, d + 1))
+    every_other = (slice(None),) + (slice(None, None, 4 if N > 3 else 2),) * d
+    return {"pairings": pairings, "sites": batch.values[every_other],
+            "sum": batch.values.sum(axis=spatial), "sum_sq": (batch.values**2).sum(axis=spatial)}
+
+
 def _ensemble(ens):
     out = {f"tree{k}": v for k, v in ens.stored.items()}
     out["times"] = ens.times
@@ -169,6 +182,10 @@ CASES = {
     **{f"run_chain_{i}_d{d}": (lambda i=i, d=d: _run_chain(i, d))
        for i in ("imex", "split", "explicit") for d in (1, 2)},
     "batch_exact_gaussian": _batch_exact_gaussian,
+    # the stats_d2_batch tilted ensemble, shortened: 8 chains, 40 steps
+    "batch_split_tilted_d2": lambda: _batch_tilted("split", 2, 5, 8, 0.02, 0.3, 0.1),
+    "batch_imex_tilted_d3": lambda: _batch_tilted("imex", 3, 3, 4, 0.002, 0.35, 0.5,
+                                                  start=np.array([0.0, 1.0, -2.0, 3.0])),
     "trees_imex": _trees_imex,
     "trees_exact": _trees_exact,
     "trees_initial": _trees_initial,
