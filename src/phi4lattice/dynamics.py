@@ -150,7 +150,12 @@ class ChainState:
 
 
 class _Stepper:
-    """Precomputed kernels for one grid/config; :meth:`advance` returns the next values."""
+    """Precomputed kernels for one grid/config; :meth:`advance` writes the next values.
+
+    The ``imex`` and ``split`` steps work in place in scratch arrays the stepper owns:
+    real fields of the batch shape and one half spectrum, built on first use and
+    rebuilt only when the batch shape changes.
+    """
 
     def __init__(self, cfg: SimConfig, grid: LatticeGrid):
         self.cfg = cfg
@@ -165,23 +170,35 @@ class _Stepper:
         else:
             self.psi_eps = None
             self.potential = None
+        self._shape: tuple[int, ...] | None = None
 
-    def _psi_term(self, values: np.ndarray) -> np.ndarray:
-        """Tilt drift ``beta F'(<iota u, psi>) psi_eps`` for any leading batch shape."""
-        spatial = tuple(range(-self.grid.d, 0))
-        x = self.grid.eps**self.grid.d * np.sum(values * self.psi_eps, axis=spatial)
+    def _scratch(self, shape: tuple[int, ...]) -> tuple[list[np.ndarray], np.ndarray]:
+        if shape != self._shape:
+            # split: half step, rhs, work space; imex: rhs, work space
+            n_real = 3 if self.cfg.integrator == "split" else 2
+            self._work = [np.empty(shape) for _ in range(n_real)]
+            self._spec = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+            self._shape = shape
+        return self._work, self._spec
+
+    def _psi_term(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Tilt drift ``beta F'(<iota u, psi>) psi_eps`` into ``out``, for any leading batch shape."""
+        d = self.grid.d
+        x = self.grid.eps**d * np.sum(np.multiply(values, self.psi_eps, out=out),
+                                      axis=tuple(range(-d, 0)))
         coeff = self.cfg.beta * self.potential.deriv(x)
-        return np.asarray(coeff).reshape(np.shape(coeff) + (1,) * self.grid.d) * self.psi_eps
+        return np.multiply(np.reshape(coeff, np.shape(coeff) + (1,) * d), self.psi_eps, out=out)
 
-    def explicit_drift(self, values: np.ndarray) -> np.ndarray:
-        """Nonlinear drift plus the +m2 u compensation for the implicit solve."""
+    def explicit_drift(self, values: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """Nonlinear drift plus the +m2 u compensation for the implicit solve, into ``out``."""
         if self.quadratic:
-            return np.zeros_like(values)
-        out = (self.rc.mass_counterterm + self.cfg.m2) * values
+            out.fill(0.0)
+            return out
+        np.multiply(values, self.rc.mass_counterterm + self.cfg.m2, out=out)
         if self.cfg.integrator != "split":
-            out = out - values**3
+            out -= np.power(values, 3, out=tmp)
         if self.psi_eps is not None:
-            out = out + self._psi_term(values)
+            out += self._psi_term(values, tmp)
         return out
 
     def full_drift(self, values: np.ndarray) -> np.ndarray:
@@ -190,41 +207,65 @@ class _Stepper:
             return lap - self.cfg.m2 * values
         out = lap + self.rc.mass_counterterm * values - values**3
         if self.psi_eps is not None:
-            out = out + self._psi_term(values)
+            out = out + self._psi_term(values, np.empty_like(values))
         return out
 
     @staticmethod
-    def _cubic_flow(values: np.ndarray, h: float) -> np.ndarray:
-        """Exact solution of du/dt = -u^3 over time h."""
-        return values / np.sqrt(1.0 + 2.0 * h * values**2)
+    def _cubic_flow(values: np.ndarray, h: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """Exact solution of du/dt = -u^3 over time h, into ``out``."""
+        np.square(values, out=tmp)
+        tmp *= 2.0 * h
+        tmp += 1.0
+        return np.divide(values, np.sqrt(tmp, out=tmp), out=out)
 
-    def advance(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    def advance(self, values: np.ndarray, noise: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """Next values into ``out`` (which may be ``noise`` or ``values``), or into a new array."""
         cfg, prop = self.cfg, self.prop
-        if cfg.integrator == "imex":
-            rhs = values + cfg.dt * self.explicit_drift(values) + noise
-            return prop.apply(rhs, prop.imex_mult)
+        if cfg.integrator in ("imex", "split"):
+            return self._advance_in_place(values, noise, np.empty(values.shape) if out is None else out)
         if cfg.integrator == "explicit":
-            return values + cfg.dt * self.full_drift(values) + noise
-        if cfg.integrator == "split":
-            half = self._cubic_flow(values, cfg.dt / 2.0) if not self.quadratic else values
-            rhs = half + cfg.dt * self.explicit_drift(half) + noise
-            solved = prop.apply(rhs, prop.imex_mult)
-            return self._cubic_flow(solved, cfg.dt / 2.0) if not self.quadratic else solved
-        if cfg.integrator == "exact_gaussian":
+            new = values + cfg.dt * self.full_drift(values) + noise
+        else:  # exact_gaussian
             uhat = prop.fft(values) * prop.ou_decay
             what = prop.fft(noise / self.noise_scale) * prop.ou_noise_mult
-            return prop.ifft(uhat + what)
-        raise AssertionError(cfg.integrator)
+            new = prop.ifft(uhat + what)
+        if out is None:
+            return new
+        out[...] = new
+        return out
+
+    def _advance_in_place(self, values: np.ndarray, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``imex`` and ``split`` steps; ``noise`` is read in full before ``out`` is written."""
+        cfg, prop = self.cfg, self.prop
+        work, spec = self._scratch(values.shape)
+        half = values
+        if cfg.integrator == "split" and not self.quadratic:
+            half = self._cubic_flow(values, cfg.dt / 2.0, work[0], work[1])
+        rhs = self.explicit_drift(half, work[-2], work[-1])
+        rhs *= cfg.dt
+        rhs += half
+        rhs += noise
+        prop.fft(rhs, out=spec)
+        spec *= prop.imex_mult
+        prop.ifft(spec, out=out)
+        if cfg.integrator == "split" and not self.quadratic:
+            self._cubic_flow(out, cfg.dt / 2.0, out, work[0])
+        return out
 
 
-def step(stepper: _Stepper, values: np.ndarray, noise: np.ndarray, step_index: int) -> np.ndarray:
+def step(stepper: _Stepper, values: np.ndarray, noise: np.ndarray, step_index: int,
+         out: np.ndarray | None = None) -> np.ndarray:
     """Advance chain values (any leading batch shape) by one step driven by ``noise``.
 
     The only place a chain step is taken; raises :class:`BlowUpError` with
     ``step_index``, the index of the step being taken, on non-finite output.
+    The new values go into ``out`` when given (it may be ``noise`` or
+    ``values``); otherwise into a new array, and neither ``values`` nor
+    ``noise`` is written.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = stepper.advance(values, noise)
+        out = stepper.advance(values, noise, out)
     if not np.all(np.isfinite(out)):
         raise BlowUpError(step_index)
     return out
@@ -287,7 +328,9 @@ def run_chain(
     snapshots: list[tuple[int, Field]] = []
     while k < n_steps:
         k += 1
-        values = step(stepper, values, stepper.noise_scale * stream.standard_normals(), k)
+        noise = stream.standard_normals()
+        noise *= stepper.noise_scale
+        values = step(stepper, values, noise, k, out=noise)
         if cfg.snapshot_every and k % cfg.snapshot_every == 0:
             snapshots.append((k, Field(grid, values.copy(), k * cfg.dt)))
         if k > cfg.burn_in and (k - cfg.burn_in) % cfg.thinning == 0:
@@ -355,8 +398,9 @@ class BatchChain:
         scale = self.stepper.noise_scale
         shape = (self.n_chains,) + self.grid.shape
         for _ in range(n_steps):
-            noise = scale * self.stream.standard_normals(shape)
-            self.values = step(self.stepper, self.values, noise, self.step_index + 1)
+            noise = self.stream.standard_normals(shape)
+            noise *= scale
+            self.values = step(self.stepper, self.values, noise, self.step_index + 1, out=noise)
             self.step_index += 1
 
     def pairings(self) -> np.ndarray:

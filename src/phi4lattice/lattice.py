@@ -233,7 +233,8 @@ class Spectrum:
     half spectrum (last axis cut to ``n // 2 + 1``), where ``mu`` holds the
     symbol of ``-laplacian``.  Transforms act on the trailing d axes (a
     leading batch axis passes through) and look ``np.fft`` up at call time,
-    so FFT hooks see every call.  :func:`spectrum` caches one per grid.
+    so FFT hooks see every call.  Given ``out``, they write into it and make
+    no temporary of the field's size.  :func:`spectrum` caches one per grid.
     """
 
     def __init__(self, grid: LatticeGrid):
@@ -242,11 +243,18 @@ class Spectrum:
         self.mu = mu_symbol(grid)[..., : grid.sites_per_axis // 2 + 1]
         self.mu.setflags(write=False)  # shared by every caller of the cached spectrum
 
-    def fft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(values, axes=self.axes)
+    def fft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.fft.rfftn(values, axes=self.axes, out=out)
 
-    def ifft(self, spec: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(spec, self.grid.shape, self.axes)
+    def ifft(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse transform; with ``out`` it works in place in ``spec``, which it overwrites."""
+        if out is None:
+            return np.fft.irfftn(spec, self.grid.shape, self.axes)
+        # irfftn's own steps, the complex ones written back into spec
+        n = self.grid.sites_per_axis
+        for axis in self.axes[:-1]:
+            np.fft.ifft(spec, n, axis, out=spec)
+        return np.fft.irfft(spec, n, self.axes[-1], out=out)
 
     def apply(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
         """Multiply by a Fourier multiplier: ``ifft(fft(values) * mult)``."""

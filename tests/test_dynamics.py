@@ -148,6 +148,56 @@ class TestStep:
         SimConfig(d=1, L=1.0, N=4, dt=1e-3, t_end=1.0, integrator="explicit")
 
 
+OUT_CASES = [(i, mode) for i in ("imex", "split", "explicit") for mode in ("untilted", "tilted")]
+OUT_CASES += [("imex", "quadratic"), ("split", "quadratic"), ("exact_gaussian", "quadratic")]
+
+
+class TestOutBuffer:
+    """``step(..., out=)`` gives the bytes of ``step(...)``, also when ``out`` is an input."""
+
+    @staticmethod
+    def _cfg(integrator, mode):
+        extra = {"tilted": dict(beta=0.5, potential_n=3), "quadratic": dict(quadratic=True)}
+        return SimConfig(d=2, L=1.0, N=3, dt=0.002, t_end=0.01, integrator=integrator,
+                         **extra.get(mode, {}))
+
+    @pytest.mark.parametrize("integrator, mode", OUT_CASES)
+    def test_out_and_aliasing_byte_equal(self, integrator, mode):
+        cfg = self._cfg(integrator, mode)
+        grid = cfg.grid()
+        shared = _Stepper(cfg, grid)  # its scratch is rebuilt as the shape changes
+        rng = np.random.default_rng(12)
+        # offsets that put the tilted pairings in the core, on the blend and on the plateau
+        unit = grid.eps**grid.d * np.sum(shared.psi_eps) if mode == "tilted" else 1.0
+        for pairings in ([3.5], [1.0, 3.5, 6.0], [6.0]):
+            shape = (len(pairings),) + grid.shape if len(pairings) > 1 else grid.shape
+            offsets = np.reshape(pairings, (-1,) + (1,) * grid.d) / unit
+            values = (rng.standard_normal(shape) + offsets).reshape(shape)
+            noise = shared.noise_scale * rng.standard_normal(shape)
+            kept = values.copy(), noise.copy()
+            want = step(_Stepper(cfg, grid), values, noise, 1)
+            assert values.tobytes() == kept[0].tobytes()
+            assert noise.tobytes() == kept[1].tobytes()
+            assert step(shared, values, noise, 1).tobytes() == want.tobytes()
+            buf = np.full(shape, np.nan)
+            assert step(shared, values, noise, 1, out=buf) is buf
+            assert buf.tobytes() == want.tobytes()
+            into_noise = noise.copy()
+            assert step(shared, values, into_noise, 1, out=into_noise).tobytes() == want.tobytes()
+            into_values = values.copy()
+            assert step(shared, into_values, noise, 1, out=into_values).tobytes() == want.tobytes()
+
+    def test_batch_chain_matches_single_steps(self):
+        cfg = self._cfg("split", "tilted")
+        batch = BatchChain(cfg, 2)
+        stepper, stream = _Stepper(cfg, cfg.grid()), NoiseStream(cfg.seed, cfg.grid())
+        u = np.zeros((2,) + cfg.grid().shape)
+        for k in range(1, 4):
+            u = step(stepper, u, stepper.noise_scale * stream.standard_normals(u.shape), k)
+        batch.advance(3)
+        assert batch.values.tobytes() == u.tobytes()
+
+
 class TestSymmetries:
     def test_beta_zero_reduction_bytewise(self):
         common = dict(d=1, L=1.0, N=4, dt=1e-2, t_end=0.3, seed=5)
