@@ -71,11 +71,7 @@ class TruncatedPotential:
             a, b, c = self._abc
             s = np.clip(ax - n, 0.0, 1.0)
             blend = 0.25 * n**4 + n**3 * s + a * s**3 + b * s**4 + c * s**5
-            out = np.select(
-                [ax <= n, ax >= n + 1.0],
-                [0.25 * ax**4, self.plateau],
-                default=blend,
-            )
+            out = np.where(ax <= n, 0.25 * ax**4, np.where(ax >= n + 1.0, self.plateau, blend))
         return out if out.ndim else float(out)
 
     def deriv(self, x) -> np.ndarray | float:
@@ -89,11 +85,7 @@ class TruncatedPotential:
             a, b, c = self._abc
             s = np.clip(ax - n, 0.0, 1.0)
             blend = n**3 + 3.0 * a * s**2 + 4.0 * b * s**3 + 5.0 * c * s**4
-            out = sign * np.select(
-                [ax <= n, ax >= n + 1.0],
-                [ax**3, 0.0],
-                default=blend,
-            )
+            out = sign * np.where(ax <= n, ax**3, np.where(ax >= n + 1.0, 0.0, blend))
         return out if out.ndim else float(out)
 
     def derivative_sup(self, n_points: int = 100_001) -> float:

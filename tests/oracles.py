@@ -155,6 +155,25 @@ def seminorm_brute(
     return best
 
 
+def truncated_potential_select(n: float, abc: tuple[float, float, float], x) -> tuple:
+    """``(F_n(x), F_n'(x))`` picked piece by piece with ``np.select``: x^4/4 up to
+    ``|x| = n``, the plateau ``n^4/4 + 1`` from ``n + 1`` on, the quintic blend
+    with coefficients ``abc`` between.
+    """
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    if n == math.inf:
+        return 0.25 * ax**4, np.sign(x) * ax**3
+    a, b, c = abc
+    s = np.clip(ax - n, 0.0, 1.0)
+    pieces = [ax <= n, ax >= n + 1.0]
+    value = np.select(pieces, [0.25 * ax**4, n**4 / 4.0 + 1.0],
+                      default=0.25 * n**4 + n**3 * s + a * s**3 + b * s**4 + c * s**5)
+    deriv = np.sign(x) * np.select(pieces, [ax**3, 0.0],
+                                   default=n**3 + 3.0 * a * s**2 + 4.0 * b * s**3 + 5.0 * c * s**4)
+    return value, deriv
+
+
 def survival_inverse_sample(rng: np.random.Generator, n: int, power: float) -> np.ndarray:
     """Samples with exact survival ``P(X > K) = exp(-K^power)`` for K >= 0."""
     u = rng.uniform(size=n)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from phi4lattice.lattice import Field, build_grid, mu_symbol
 from phi4lattice.potential import TruncatedPotential, sobolev_norm_sq
 
-from oracles import central_difference, sobolev_norm_sq_complex
+from oracles import central_difference, sobolev_norm_sq_complex, truncated_potential_select
 
 
 class TestTruncatedPotential:
@@ -68,6 +68,22 @@ class TestTruncatedPotential:
             p = TruncatedPotential(n)
             x = np.linspace(0.0, n + 1.0, 100000)
             assert np.max(np.abs(p.deriv(x))) <= n**3 * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, math.inf])
+    def test_select_oracle_bytewise(self, n):
+        p = TruncatedPotential(n)
+        seams = [0.0] if n == math.inf else [n, n + 1.0]
+        edges = [np.nextafter(e, to) for e in seams for to in (-np.inf, np.inf)]
+        x = np.concatenate([np.linspace(-8.0, 8.0, 4001), seams, edges, [0.0, -0.0, 1e3, 1e30]])
+        x = np.concatenate([x, -x])
+        value, deriv = truncated_potential_select(n, p._abc, x)
+        assert p.value(x).tobytes() == value.tobytes()
+        assert p.deriv(x).tobytes() == deriv.tobytes()
+        for xi in x[::97].tolist() + seams + [-s for s in seams]:
+            v, dv = truncated_potential_select(n, p._abc, xi)
+            assert type(p.value(xi)) is float and type(p.deriv(xi)) is float
+            assert p.value(xi) == float(v) and p.deriv(xi) == float(dv)
+            assert math.copysign(1.0, p.deriv(xi)) == math.copysign(1.0, float(dv))
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
