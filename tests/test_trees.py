@@ -131,10 +131,20 @@ class TestKernels:
         for err in kern.semigroup_errors():
             assert err < 1e-2
 
+    def test_no_zero_end_taps(self):
+        # 5e-4, 6.25e-4 and 2.5e-3 divide some kernel widths 0.01 * lambda^2 exactly
+        g = build_grid(1, 1.0, 4)
+        for store_dt in (0.05, 2.5e-3, 1.25e-3, 6.25e-4, 5e-4, 3e-4):
+            kern = DyadicKernelFamily(g, store_dt=store_dt)
+            for idx, w in enumerate(kern._time_kernels):
+                assert len(w) == 2 * kern.time_pad(idx) + 1
+                assert w[0] > 0.0 and w[-1] > 0.0, (store_dt, idx, w)
+                assert np.array_equal(w, w[::-1])
+
     def test_convolution_of_constant(self):
         g = build_grid(1, 1.0, 4)
         arr = np.full((16,) + g.shape, 3.25)
-        for store_dt in (0.05, 5e-4):  # 1-tap and up to 11-tap time kernels
+        for store_dt in (0.05, 5e-4):  # 1-tap and up to 9-tap time kernels
             kern = DyadicKernelFamily(g, store_dt=store_dt)
             averages = kern.convolve(arr)
             assert len(averages) == kern.n_scales
@@ -184,14 +194,14 @@ class TestSeminorm:
             assert got == pytest.approx(expected, rel=1e-10), tau
 
     def test_brute_force_oracle_multi_tap(self):
-        # storage step 5e-4: 11- and 3-tap time kernels, base points on strided times and sites
+        # storage step 5e-4: 9- and 3-tap time kernels, base points on strided times and sites
         g = build_grid(1, 1.0, 3)
         rng = np.random.default_rng(12)
         stored = {k: rng.standard_normal((41,) + g.shape) for k in ("1", "2", "3", "20", "30")}
         c2 = 0.37
         ens = make_ensemble(g, stored, c2=c2, dt=5e-4)
         kern = DyadicKernelFamily(g, store_dt=5e-4, j_list=(1, 2))
-        assert [e["time_points"] for e in kern.table()] == [11, 3]
+        assert [e["time_points"] for e in kern.table()] == [9, 3]
         spatial = [kern.spatial_kernel(i) for i in range(kern.n_scales)]
         for tau in ("2", "3", "20", "30", "22", "31", "32"):
             expected = seminorm_brute(
