@@ -220,37 +220,33 @@ class _Stepper:
 
     def advance(self, values: np.ndarray, noise: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
-        """Next values into ``out`` (which may be ``noise`` or ``values``), or into a new array."""
+        """Next values into ``out`` (which may be ``noise`` or ``values``), or into a new array.
+
+        ``imex`` and ``split`` work in the scratch arrays and read ``noise`` in full
+        before they write ``out``.
+        """
         cfg, prop = self.cfg, self.prop
-        if cfg.integrator in ("imex", "split"):
-            return self._advance_in_place(values, noise, np.empty(values.shape) if out is None else out)
         if cfg.integrator == "explicit":
             new = values + cfg.dt * self.full_drift(values) + noise
-        else:  # exact_gaussian
+        elif cfg.integrator == "exact_gaussian":
             uhat = prop.fft(values) * prop.ou_decay
             what = prop.fft(noise / self.noise_scale) * prop.ou_noise_mult
             new = prop.ifft(uhat + what)
+        else:
+            flow = cfg.integrator == "split" and not self.quadratic
+            work, spec = self._scratch(values.shape)
+            half = self._cubic_flow(values, cfg.dt / 2.0, work[0], work[1]) if flow else values
+            rhs = self.explicit_drift(half, work[-2], work[-1])
+            rhs *= cfg.dt
+            rhs += half
+            rhs += noise
+            prop.fft(rhs, out=spec)
+            spec *= prop.imex_mult
+            new = prop.ifft(spec, out=np.empty(values.shape) if out is None else out)
+            return self._cubic_flow(new, cfg.dt / 2.0, new, work[0]) if flow else new
         if out is None:
             return new
         out[...] = new
-        return out
-
-    def _advance_in_place(self, values: np.ndarray, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``imex`` and ``split`` steps; ``noise`` is read in full before ``out`` is written."""
-        cfg, prop = self.cfg, self.prop
-        work, spec = self._scratch(values.shape)
-        half = values
-        if cfg.integrator == "split" and not self.quadratic:
-            half = self._cubic_flow(values, cfg.dt / 2.0, work[0], work[1])
-        rhs = self.explicit_drift(half, work[-2], work[-1])
-        rhs *= cfg.dt
-        rhs += half
-        rhs += noise
-        prop.fft(rhs, out=spec)
-        spec *= prop.imex_mult
-        prop.ifft(spec, out=out)
-        if cfg.integrator == "split" and not self.quadratic:
-            self._cubic_flow(out, cfg.dt / 2.0, out, work[0])
         return out
 
 

@@ -187,16 +187,6 @@ class TestOutBuffer:
             into_values = values.copy()
             assert step(shared, into_values, noise, 1, out=into_values).tobytes() == want.tobytes()
 
-    def test_batch_chain_matches_single_steps(self):
-        cfg = self._cfg("split", "tilted")
-        batch = BatchChain(cfg, 2)
-        stepper, stream = _Stepper(cfg, cfg.grid()), NoiseStream(cfg.seed, cfg.grid())
-        u = np.zeros((2,) + cfg.grid().shape)
-        for k in range(1, 4):
-            u = step(stepper, u, stepper.noise_scale * stream.standard_normals(u.shape), k)
-        batch.advance(3)
-        assert batch.values.tobytes() == u.tobytes()
-
 
 class TestSymmetries:
     def test_beta_zero_reduction_bytewise(self):
