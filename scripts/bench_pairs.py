@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Alternating before/after rows of ``bench/run.py``, written as one perf record.
+
+    python3 scripts/bench_pairs.py --before DIR --after DIR --out BENCH_<n>.json \\
+        [--pairs 3] [--workloads NAME ...] [--traced NAME ...]
+
+``--before`` and ``--after`` are two checkouts of the repository (for example
+``git clone`` copies of the parent commit and of the change).  For every
+workload each pair runs ``bench/run.py --trace 0`` once in each checkout, the
+before side first in even pairs and second in odd ones, so a drift of the
+host's speed does not favour one side.  Every ``--traced`` workload then adds
+one ``--trace 1`` row per side.  Each row keeps the exit code, the machine
+stamp and the JSON result that ``bench/run.py`` prints; the summary gives the
+per-side medians of the end-to-end metrics and how many pairs the after side
+won.  Rows already in ``--out`` are kept, so a second call adds pairs.
+``bench/run.py`` runs unchanged, from the root of each checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("stats_d2_batch", "cli_run_d1", "apriori_d3", "volume_pair_d2")
+
+
+def bench_row(checkout: Path, workload: str, trace: int) -> dict:
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--trace", str(trace)], cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    stamps = [json.loads(line[len("stamp "):]) for line in lines if line.startswith("stamp ")]
+    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
+    return {"workload": workload, "trace": trace, "exit_code": proc.returncode,
+            "stamp": stamps[-1] if stamps else None, "result": result}
+
+
+def summary(rows: list[dict], better: dict[str, str]) -> dict:
+    out = {}
+    for workload in sorted({r["workload"] for r in rows}):
+        pairs: dict[int, dict[str, dict]] = {}
+        for r in rows:
+            if r["workload"] == workload and r["trace"] == 0 and r["result"]:
+                pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
+        both = [p for p in pairs.values() if len(p) == 2]
+        if not both:
+            continue
+        table = {}
+        for name, direction in better.items():
+            sign = 1.0 if direction == "lower" else -1.0
+            table[name] = {
+                "before_median": statistics.median(p["before"][name]["value"] for p in both),
+                "after_median": statistics.median(p["after"][name]["value"] for p in both),
+                "after_better_pairs": sum(sign * (p["after"][name]["value"] - p["before"][name]["value"]) < 0
+                                          for p in both),
+                "pairs": len(both),
+            }
+        out[workload] = table
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--before", type=Path, required=True)
+    ap.add_argument("--after", type=Path, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    ap.add_argument("--traced", nargs="*", choices=WORKLOADS, default=["stats_d2_batch"])
+    args = ap.parse_args(argv)
+    better = {m["name"]: m["better"]
+              for m in json.loads((args.after / "BENCHMARK.json").read_text())["end_to_end"]}
+    sides = {"before": args.before.resolve(), "after": args.after.resolve()}
+    rows: list[dict] = json.loads(args.out.read_text())["rows"] if args.out.exists() else []
+
+    def record(side: str, pair: int | None, workload: str, trace: int) -> None:
+        row = {"side": side, "pair": pair, **bench_row(sides[side], workload, trace)}
+        rows.append(row)
+        ok = row["result"] is not None and row["result"]["correct"]
+        print(f"{workload} trace={trace} pair={pair} {side}: exit {row['exit_code']}, "
+              f"correct {ok}", flush=True)
+        args.out.write_text(json.dumps({"rows": rows, "summary": summary(rows, better)},
+                                       indent=1) + "\n")
+
+    for workload in args.workloads:
+        first = 1 + max((r["pair"] for r in rows if r["workload"] == workload and r["trace"] == 0),
+                        default=-1)
+        for pair in range(first, first + args.pairs):
+            for side in ("before", "after") if pair % 2 == 0 else ("after", "before"):
+                record(side, pair, workload, 0)
+        if workload in args.traced:
+            for side in ("before", "after"):
+                record(side, None, workload, 1)
+    return 0 if all(r["exit_code"] == 0 for r in rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
