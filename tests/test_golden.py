@@ -76,8 +76,8 @@ def _batch_tilted(integrator, d, N, n_chains, dt, psi_radius, beta, start=None):
         batch.values = np.multiply.outer(start, np.ones(cfg.grid().shape))
     pairings = batch.sample_pairings(4, 10)
     spatial = tuple(range(1, d + 1))
-    every_other = (slice(None),) + (slice(None, None, 4 if N > 3 else 2),) * d
-    return {"pairings": pairings, "sites": batch.values[every_other],
+    subsample = (slice(None),) + (slice(None, None, 4 if N > 3 else 2),) * d
+    return {"pairings": pairings, "sites": batch.values[subsample],
             "sum": batch.values.sum(axis=spatial), "sum_sq": (batch.values**2).sum(axis=spatial)}
 
 
