@@ -16,8 +16,8 @@ import difflib
 import hashlib
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .verify import (
     max_principle_battery,
 )
 
-__all__ = ["parse_config", "orchestrate", "main", "RunManifest", "ConfigError"]
+__all__ = ["parse_config", "orchestrate", "main", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -176,60 +176,72 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """Inventory of one output directory: config hash, seed, file checksums."""
-
-    config_hash: str
-    seed: int
-    version: str = __version__
-    parameters: dict = field(default_factory=dict)
-    files: dict = field(default_factory=dict)
-
-    def register(self, out_dir: Path, name: str) -> None:
-        self.files[name] = _sha256(out_dir / name)
-
-    def write(self, out_dir: Path) -> Path:
-        path = out_dir / "manifest.json"
-        payload = {
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "version": self.version,
-            "parameters": self.parameters,
-            "files": self.files,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path
-
-    def audit(self, out_dir: Path) -> bool:
-        return all(_sha256(out_dir / name) == digest for name, digest in self.files.items())
+def _parameters(values: dict) -> dict:
+    return {k: (str(v) if v == math.inf else v) for k, v in sorted(values.items())}
 
 
 def config_hash(values: dict) -> str:
-    canonical = json.dumps(
-        {k: (str(v) if v == math.inf else v) for k, v in sorted(values.items())},
-        sort_keys=True,
-    )
+    canonical = json.dumps(_parameters(values), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _new_manifest(values: dict) -> RunManifest:
-    params = {k: (str(v) if v == math.inf else v) for k, v in sorted(values.items())}
-    return RunManifest(config_hash=config_hash(values), seed=values["seed"], parameters=params)
+class OutputDir:
+    """One output directory: files renamed into place, then an audited manifest.
+
+    Each file is written under the temporary name ``.<name>.tmp`` in the same
+    directory and renamed into place, so a file under its final name is
+    complete.  :meth:`close` writes ``manifest.json`` last, with the config
+    hash, the seed, the parameters and the sha256 of every written file.
+    """
+
+    def __init__(self, out, values: dict):
+        self.out = Path(out)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.values = values
+        self.parameters = _parameters(values)
+        self.files: dict[str, str] = {}
+
+    def _place(self, name: str, write, *args, **kwargs) -> Path:
+        path, tmp = self.out / name, self.out / f".{name}.tmp"
+        try:
+            write(tmp, *args, **kwargs)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+        return path
+
+    def write(self, name: str, write, *args, **kwargs) -> None:
+        """Write ``name`` by ``write(path, *args, **kwargs)`` and record its checksum."""
+        self.files[name] = _sha256(self._place(name, write, *args, **kwargs))
+
+    def close(self) -> int:
+        """Write ``manifest.json``, re-check every listed file; 0, or 2 on a mismatch."""
+        manifest = {
+            "config_hash": config_hash(self.values),
+            "seed": self.values["seed"],
+            "version": __version__,
+            "parameters": self.parameters,
+            "files": self.files,
+        }
+        self._place("manifest.json", Path.write_text,
+                    json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        if all(_sha256(self.out / name) == digest for name, digest in self.files.items()):
+            return 0
+        print("manifest self-audit failed", file=sys.stderr)
+        return 2
 
 
-def _write_samples_csv(path: Path, result) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "time", "pairing", "V", "W", "c_alpha_norm"])
-        for row in result.rows():
-            writer.writerow([row[0]] + [f"{v:.17g}" for v in row[1:]])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_run(args) -> int:
     values = parse_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out_dir = OutputDir(args.out, values)
+    out = out_dir.out
     cfg = sim_config(values)
     resume_state = None
     if args.resume:
@@ -245,22 +257,17 @@ def cmd_run(args) -> int:
             stream.counter = step_idx
             resume_state = ChainState(field=fld, step=step_idx, stream=stream)
     result = run_chain(cfg, resume_state=resume_state)
-    manifest = _new_manifest(values)
     if len(result.pairing) >= 8:
         # burn-in is operator-chosen; the autocorrelation time is logged for audit
-        manifest.parameters["audit.pairing_autocorr_time"] = integrated_autocorr_time(
+        out_dir.parameters["audit.pairing_autocorr_time"] = integrated_autocorr_time(
             result.pairing
         )
-    _write_samples_csv(out / "samples.csv", result)
-    manifest.register(out, "samples.csv")
+    out_dir.write("samples.csv", _write_csv, ["step", "time", "pairing", "V", "W", "c_alpha_norm"],
+                  ([row[0]] + [f"{v:.17g}" for v in row[1:]] for row in result.rows()))
     for step_idx, fld in result.snapshots:
-        name = f"snapshot_{step_idx:08d}.snap"
-        write_snapshot(out / name, fld, seed=values["seed"])
-        manifest.register(out, name)
-    manifest.write(out)
-    if not manifest.audit(out):
-        print("manifest self-audit failed", file=sys.stderr)
-        return 2
+        out_dir.write(f"snapshot_{step_idx:08d}.snap", write_snapshot, fld, seed=values["seed"])
+    if rc := out_dir.close():
+        return rc
     print(f"run complete: {len(result.steps)} records -> {out}")
     return 0
 
@@ -278,9 +285,7 @@ def _collect_pairings(values: dict, beta: float, stream_id: int) -> SampleSet:
 
 def cmd_stats(args) -> int:
     values = parse_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _new_manifest(values)
+    out_dir = OutputDir(args.out, values)
     beta = values["observable.beta"]
     n = values["potential.n"]
     if n == math.inf:
@@ -324,34 +329,23 @@ def cmd_stats(args) -> int:
                 "slope": fit.slope, "stderr": fit.stderr,
                 "k_window": list(fit.k_window), "n_points": fit.n_points,
             }
-            with open(out / "survival.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["K", "survival", "neg_log_survival"])
-                for k_val, logp in zip(fit.k_values, fit.log_survival):
-                    writer.writerow([f"{k_val:.17g}", f"{math.exp(logp):.17g}", f"{-logp:.17g}"])
-            manifest.register(out, "survival.csv")
+            out_dir.write("survival.csv", _write_csv, ["K", "survival", "neg_log_survival"],
+                          ([f"{k_val:.17g}", f"{math.exp(logp):.17g}", f"{-logp:.17g}"]
+                           for k_val, logp in zip(fit.k_values, fit.log_survival)))
         except Exception as exc:
             report["tail"] = {"error": str(exc)}
             ok = False
-    else:
-        print(f"unknown stats suite {args.suite!r}", file=sys.stderr)
-        return 2
 
-    (out / "stats.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
-    manifest.register(out, "stats.json")
-    manifest.write(out)
-    if not manifest.audit(out):
-        print("manifest self-audit failed", file=sys.stderr)
-        return 2
+    out_dir.write("stats.json", Path.write_text, json.dumps(report, indent=2, default=float) + "\n")
+    if rc := out_dir.close():
+        return rc
     print(json.dumps(report, indent=2, default=float))
     return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:
     values = parse_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _new_manifest(values)
+    out_dir = OutputDir(args.out, values)
     kappa = values["verify.kappa"]
     seeds = tuple(range(values["verify.suite_seeds"]))
     report: dict = {"suite": args.suite}
@@ -408,26 +402,18 @@ def cmd_verify(args) -> int:
             "reference_slope": fit["reference_slope"],
         }
         ok = fit["slope"] >= fit["reference_slope"] - 0.1
-    else:
-        print(f"unknown verify suite {args.suite!r}", file=sys.stderr)
-        return 2
 
     report["passed"] = ok
-    (out / "verify.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
-    manifest.register(out, "verify.json")
-    manifest.write(out)
-    if not manifest.audit(out):
-        print("manifest self-audit failed", file=sys.stderr)
-        return 2
+    out_dir.write("verify.json", Path.write_text, json.dumps(report, indent=2, default=float) + "\n")
+    if rc := out_dir.close():
+        return rc
     print(json.dumps({"suite": args.suite, "passed": ok}, indent=2))
     return 0 if ok else 1
 
 
 def cmd_trees(args) -> int:
     values = parse_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _new_manifest(values)
+    out_dir = OutputDir(args.out, values)
     grid = build_grid(values["grid.d"], values["grid.L"], values["grid.N"])
     ens = evolve_trees(
         grid,
@@ -441,19 +427,13 @@ def cmd_trees(args) -> int:
     kernels = DyadicKernelFamily(grid, store_dt=values["dt"] * values["trees.store_every"])
     kappa = values["norm.kappa"]
     report = seminorm_report(ens, kernels, kappa)
-    with open(out / "trees.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "kappa", "domain", "seminorm", "seed"])
-        for tau, val in report.values.items():
-            writer.writerow([tau, kappa, report.domain, f"{val:.17g}", values["seed"]])
-    manifest.register(out, "trees.csv")
-    (out / "kernels.json").write_text(json.dumps(kernels.table(), indent=2) + "\n")
-    manifest.register(out, "kernels.json")
-    manifest.write(out)
-    if not manifest.audit(out):
-        print("manifest self-audit failed", file=sys.stderr)
-        return 2
-    print(f"tree seminorms written to {out / 'trees.csv'}")
+    out_dir.write("trees.csv", _write_csv, ["tau", "kappa", "domain", "seminorm", "seed"],
+                  ([tau, kappa, report.domain, f"{val:.17g}", values["seed"]]
+                   for tau, val in report.values.items()))
+    out_dir.write("kernels.json", Path.write_text, json.dumps(kernels.table(), indent=2) + "\n")
+    if rc := out_dir.close():
+        return rc
+    print(f"tree seminorms written to {out_dir.out / 'trees.csv'}")
     return 0
 
 
