@@ -4,8 +4,13 @@ Config files are flat ``key = value`` text, keys namespaced by module
 prefix; unknown keys are hard errors with a nearest-key suggestion.  All
 randomness flows from the single ``seed`` via documented sub-stream ids
 (chain index, suite index), so a config plus its seed reproduces every
-output byte-for-byte on one platform.  Each output directory receives a
-manifest with the config hash and checksums of every emitted file.
+output byte-for-byte on one platform.  Every command writes its output
+directory through :class:`OutputDir`: each file is written to a temporary
+name and renamed into place, and ``manifest.json`` (config hash, seed,
+parameters, sha256 of every file) is written last and audited; a failed
+audit exits 2.  ``phi4 run --resume`` continues the run in its directory
+from the latest snapshot: the config must match the run's apart from
+``t_end``, and the records and snapshots up to that step are carried forward.
 """
 
 from __future__ import annotations
@@ -169,11 +174,7 @@ def sim_config(values: dict, stream_id: int = 0) -> SimConfig:
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _parameters(values: dict) -> dict:
@@ -186,13 +187,8 @@ def config_hash(values: dict) -> str:
 
 
 class OutputDir:
-    """One output directory: files renamed into place, then an audited manifest.
-
-    Each file is written under the temporary name ``.<name>.tmp`` in the same
-    directory and renamed into place, so a file under its final name is
-    complete.  :meth:`close` writes ``manifest.json`` last, with the config
-    hash, the seed, the parameters and the sha256 of every written file.
-    """
+    """One output directory: each file renamed into place from ``.<name>.tmp``, so a
+    file under its final name is complete, then an audited ``manifest.json``."""
 
     def __init__(self, out, values: dict):
         self.out = Path(out)
@@ -238,37 +234,57 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
+def _resume_point(out: Path, values: dict, cfg: SimConfig):
+    """Chain state at the latest snapshot listed in ``out/manifest.json``, the
+    ``samples.csv`` rows up to its step and the checksums of the run's
+    snapshots; ``None`` when there is no snapshot to continue from."""
+    manifest = out / "manifest.json"
+    old = json.loads(manifest.read_text()) if manifest.exists() else {}
+    snaps = sorted(name for name in old.get("files", {}) if name.startswith("snapshot_"))
+    if not snaps:
+        return None
+    new = json.loads(json.dumps(_parameters(values)))
+    for key in sorted(set(old["parameters"]) | set(new)):
+        was, now = old["parameters"].get(key), new.get(key)
+        if key != "t_end" and not key.startswith("audit.") and was != now:
+            raise ConfigError(f"{out / snaps[-1]} was written with {key} = {was}; "
+                              f"the config has {key} = {now}")
+    step = int(snaps[-1][len("snapshot_"):-len(".snap")])
+    if step > cfg.n_steps():
+        raise ConfigError(f"{out / snaps[-1]} lies beyond t_end = {values['t_end']}")
+    for name, digest in old["files"].items():
+        if _sha256(out / name) != digest:
+            raise ConfigError(f"{out / name} does not match its checksum in manifest.json")
+    fld, _ = read_snapshot(out / snaps[-1])
+    stream = NoiseStream(values["seed"], fld.grid)
+    stream.counter = step
+    with open(out / "samples.csv", newline="") as fh:
+        rows = [row for row in list(csv.reader(fh))[1:] if int(row[0]) <= step]
+    kept = {name: old["files"][name] for name in snaps}
+    return ChainState(field=fld, step=step, stream=stream), rows, kept
+
+
 def cmd_run(args) -> int:
     values = parse_config(args.config)
-    out_dir = OutputDir(args.out, values)
-    out = out_dir.out
     cfg = sim_config(values)
-    resume_state = None
-    if args.resume:
-        snaps = sorted(out.glob("snapshot_*.snap"))
-        if snaps:
-            fld, seed = read_snapshot(snaps[-1])
-            grid = cfg.grid()
-            if (seed, fld.grid) != (values["seed"] & 0xFFFFFFFFFFFFFFFF, grid):
-                raise ConfigError(f"{snaps[-1].name} holds seed {seed} on {fld.grid}; "
-                                  f"the config has seed {values['seed']} on {grid}")
-            stream = NoiseStream(values["seed"], grid)
-            step_idx = int(round(fld.time / cfg.dt))
-            stream.counter = step_idx
-            resume_state = ChainState(field=fld, step=step_idx, stream=stream)
+    resume_state, rows, kept = None, [], {}
+    if args.resume and (point := _resume_point(Path(args.out), values, cfg)):
+        resume_state, rows, kept = point
     result = run_chain(cfg, resume_state=resume_state)
-    if len(result.pairing) >= 8:
+    out_dir = OutputDir(args.out, values)
+    rows += ([row[0]] + [f"{v:.17g}" for v in row[1:]] for row in result.rows())
+    pairing = [float(row[2]) for row in rows]
+    if len(pairing) >= 8:
         # burn-in is operator-chosen; the autocorrelation time is logged for audit
-        out_dir.parameters["audit.pairing_autocorr_time"] = integrated_autocorr_time(
-            result.pairing
-        )
-    out_dir.write("samples.csv", _write_csv, ["step", "time", "pairing", "V", "W", "c_alpha_norm"],
-                  ([row[0]] + [f"{v:.17g}" for v in row[1:]] for row in result.rows()))
+        out_dir.parameters["audit.pairing_autocorr_time"] = integrated_autocorr_time(pairing)
+    out_dir.write("samples.csv", _write_csv,
+                  ["step", "time", "pairing", "V", "W", "c_alpha_norm"], rows)
+    out_dir.files.update(kept)
     for step_idx, fld in result.snapshots:
         out_dir.write(f"snapshot_{step_idx:08d}.snap", write_snapshot, fld, seed=values["seed"])
     if rc := out_dir.close():
         return rc
-    print(f"run complete: {len(result.steps)} records -> {out}")
+    print(f"run complete: {len(rows)} records -> {out_dir.out}")
     return 0
 
 
@@ -336,7 +352,8 @@ def cmd_stats(args) -> int:
             report["tail"] = {"error": str(exc)}
             ok = False
 
-    out_dir.write("stats.json", Path.write_text, json.dumps(report, indent=2, default=float) + "\n")
+    out_dir.write("stats.json", Path.write_text,
+                  json.dumps(report, indent=2, default=float) + "\n")
     if rc := out_dir.close():
         return rc
     print(json.dumps(report, indent=2, default=float))
@@ -404,7 +421,8 @@ def cmd_verify(args) -> int:
         ok = fit["slope"] >= fit["reference_slope"] - 0.1
 
     report["passed"] = ok
-    out_dir.write("verify.json", Path.write_text, json.dumps(report, indent=2, default=float) + "\n")
+    out_dir.write("verify.json", Path.write_text,
+                  json.dumps(report, indent=2, default=float) + "\n")
     if rc := out_dir.close():
         return rc
     print(json.dumps({"suite": args.suite, "passed": ok}, indent=2))

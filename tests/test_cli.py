@@ -4,7 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from phi4lattice import cli
 from phi4lattice.cli import (
     CONFIG_KEYS,
     ConfigError,
@@ -97,24 +99,25 @@ class TestRunCommand:
         for name, digest in manifest["files"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
-    def test_resume_reproduces_full_run(self, tmp_path):
-        full_cfg = write_config(tmp_path, MINIMAL + "snapshot_every = 10\n")
-        out_full = tmp_path / "full"
-        main(["run", "--config", str(full_cfg), "--out", str(out_full)])
+    @settings(max_examples=8, deadline=None)
+    @example(first_steps=10)
+    @given(first_steps=st.integers(min_value=1, max_value=20))
+    def test_resume_reproduces_full_run(self, tmp_path_factory, first_steps):
+        # run to an earlier horizon, then resume to the full one: every file,
+        # manifest.json included, must match an uninterrupted run
+        tmp = tmp_path_factory.mktemp("resume")
+        full_cfg = write_config(tmp, MINIMAL + "snapshot_every = 10\n")
+        out_full, out_res = tmp / "full", tmp / "resumed"
+        assert main(["run", "--config", str(full_cfg), "--out", str(out_full)]) == 0
+        first = tmp / "first.cfg"
+        first.write_text(MINIMAL.replace("t_end = 0.2", f"t_end = {first_steps / 100}")
+                         + "snapshot_every = 10\n")
+        assert main(["run", "--config", str(first), "--out", str(out_res)]) == 0
+        assert main(["run", "--config", str(full_cfg), "--out", str(out_res), "--resume"]) == 0
+        assert ({p.name: p.read_bytes() for p in out_res.iterdir()}
+                == {p.name: p.read_bytes() for p in out_full.iterdir()})
 
-        half = tmp_path / "half.cfg"
-        half.write_text(MINIMAL.replace("t_end = 0.2", "t_end = 0.1") + "snapshot_every = 10\n")
-        out_res = tmp_path / "resumed"
-        main(["run", "--config", str(half), "--out", str(out_res)])
-        # continue to the full horizon from the snapshots already in out_res
-        (tmp_path / "resume.cfg").write_text(MINIMAL + "snapshot_every = 10\n")
-        assert main(["run", "--config", str(tmp_path / "resume.cfg"),
-                     "--out", str(out_res), "--resume"]) == 0
-        full_snap = sorted((out_full).glob("snapshot_*.snap"))[-1]
-        res_snap = sorted((out_res).glob("snapshot_*.snap"))[-1]
-        assert full_snap.read_bytes() == res_snap.read_bytes()
-
-    @pytest.mark.parametrize("change", ["seed = 8", "grid.N = 5"])
+    @pytest.mark.parametrize("change", ["seed = 8", "grid.N = 5", "dt = 0.005", "t_end = 0.1"])
     def test_resume_refuses_mismatched_snapshot(self, tmp_path, capsys, change):
         cfg = write_config(tmp_path, MINIMAL + "snapshot_every = 10\n")
         out = tmp_path / "o"
@@ -125,6 +128,40 @@ class TestRunCommand:
         assert main(["run", "--config", str(other), "--out", str(out), "--resume"]) == 2
         assert "snapshot_00000020.snap" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_resume_refuses_altered_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL + "snapshot_every = 10\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "snapshot_00000010.snap").write_bytes(b"PHI4")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--resume"]) == 2
+        assert "snapshot_00000010.snap" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        def broken_write(path, fld, seed):
+            Path(path).write_bytes(b"PHI4")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_snapshot", broken_write)
+        cfg = write_config(tmp_path, MINIMAL + "snapshot_every = 10\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["samples.csv"]
+
+    def test_audit_detects_altered_file(self, tmp_path, monkeypatch, capsys):
+        close = cli.OutputDir.close
+
+        def altering_close(self):
+            (self.out / "samples.csv").write_text("altered\n")
+            return close(self)
+
+        monkeypatch.setattr(cli.OutputDir, "close", altering_close)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_config(tmp_path, MINIMAL)),
+                     "--out", str(out)]) == 2
+        assert "manifest self-audit failed" in capsys.readouterr().err
 
     def test_d3_fine_grid_runs(self, tmp_path):
         # 32^3 sites: the sunset constant of this grid is built on every d=3 run
