@@ -19,6 +19,7 @@ import argparse
 import csv
 import difflib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -272,19 +273,19 @@ def cmd_run(args) -> int:
         resume_state, rows, kept = point
     result = run_chain(cfg, resume_state=resume_state)
     out_dir = OutputDir(args.out, values)
-    rows += ([row[0]] + [f"{v:.17g}" for v in row[1:]] for row in result.rows())
-    pairing = [float(row[2]) for row in rows]
+    pairing = np.concatenate([[float(row[2]) for row in rows], result.pairing])
     if len(pairing) >= 8:
         # burn-in is operator-chosen; the autocorrelation time is logged for audit
         out_dir.parameters["audit.pairing_autocorr_time"] = integrated_autocorr_time(pairing)
-    out_dir.write("samples.csv", _write_csv,
-                  ["step", "time", "pairing", "V", "W", "c_alpha_norm"], rows)
+    new_rows = ([row[0]] + [f"{v:.17g}" for v in row[1:]] for row in result.rows())
+    out_dir.write("samples.csv", _write_csv, ["step", "time", "pairing", "V", "W", "c_alpha_norm"],
+                  itertools.chain(rows, new_rows))
     out_dir.files.update(kept)
     for step_idx, fld in result.snapshots:
         out_dir.write(f"snapshot_{step_idx:08d}.snap", write_snapshot, fld, seed=values["seed"])
     if rc := out_dir.close():
         return rc
-    print(f"run complete: {len(rows)} records -> {out_dir.out}")
+    print(f"run complete: {len(pairing)} records -> {out_dir.out}")
     return 0
 
 
