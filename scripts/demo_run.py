@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Small end-to-end demo: run a d=1 chain, print summary statistics.
 
-Writes samples.csv, snapshots and a manifest into ./demo_out, then
-re-estimates the partition function from the recorded pairings.
+Writes samples.csv, snapshots and a manifest into ./demo_out (ignored by
+git when run from the repository root), then re-estimates the partition
+function from the recorded pairings.
 """
 
 import math
