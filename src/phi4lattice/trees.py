@@ -121,66 +121,62 @@ class TreeEnsemble:
 class _TreeState:
     """tree1 and the heat integrals tree20 / tree30 (from zero), stepped and stored.
 
-    A step's Wick sources come from the tree1 it starts from; the stored
-    tree2 / tree3 from the tree1 it ends at, every ``store_every``-th step.
+    The three live on the half spectrum, rows of ``hat``, and take one update,
+    ``hat = decay * hat + weight * fft(source)``, with the multipliers of ``mode``
+    (``imex``: the linear-implicit solve; ``exact``: the OU transition of tree1 and
+    exponential Euler for the heat integrals).  The sources are the noise increment
+    and the Wick powers of the tree1 a step starts from.  tree1 and its Wick powers
+    return to real space once per step, tree20 / tree30 only when stored: every
+    ``store_every``-th of ``n_steps`` steps, into preallocated ``(n_stores, *shape)`` arrays.
     """
 
-    def __init__(self, prop: LinearPropagator, c1: float, tree1: np.ndarray, store_every: int):
+    def __init__(self, prop: LinearPropagator, c1: float, tree1: np.ndarray, n_steps: int,
+                 store_every: int, mode: str):
         if store_every < 1:
             raise ValueError(f"store_every must be >= 1, got {store_every}")
-        self.store_every = store_every
-        self.prop = prop
-        self.c1 = c1
-        self.t1 = tree1
-        self.t20 = np.zeros(prop.grid.shape)
-        self.t30 = np.zeros(prop.grid.shape)
-        self.times: list[float] = []
-        self.stored: dict[str, list[np.ndarray]] = {k: [] for k in ("1", "2", "3", "20", "30")}
+        weights = {"imex": (prop.imex_mult, prop.imex_mult, prop.dt * prop.imex_mult),
+                   "exact": (prop.ou_decay, prop.ou_noise_mult / prop.noise_scale,
+                             prop.exp_euler_weight)}
+        if mode not in weights:
+            raise ValueError(f"unknown tree evolution mode {mode!r}")
+        self.decay, noise_weight, source_weight = weights[mode]
+        self.weights = np.stack((noise_weight, source_weight, source_weight))
+        self.prop, self.c1, self.mode, self.store_every = prop, c1, mode, store_every
+        self._set_tree1(tree1)
+        self.hat = np.zeros((3, *prop.mu.shape), complex)
+        prop.fft(tree1, out=self.hat[0])
+        self._source = np.empty_like(self.hat)
+        self.stored = {k: np.empty((n_steps // store_every, *tree1.shape))
+                       for k in ("1", "2", "3", "20", "30")}
 
-    @classmethod
-    def stationary(cls, prop: LinearPropagator, c1: float, normals: np.ndarray,
-                   store_every: int, amplitude: float = 1.0) -> "_TreeState":
-        """Start from the exact stationary linear field (per-mode variance eps^-d / 2a)."""
-        return cls(prop, c1, amplitude * prop.apply(normals, prop.stationary_mult), store_every)
+    def _set_tree1(self, t1: np.ndarray) -> None:
+        self.t1, self.t2, self.t3 = t1, t1 * t1 - self.c1, t1 * (t1 * t1 - 3.0 * self.c1)
 
-    def _wick(self) -> tuple[np.ndarray, np.ndarray]:
-        t1 = self.t1
-        return t1 * t1 - self.c1, t1 * (t1 * t1 - 3.0 * self.c1)
-
-    def step_imex(self, eta: np.ndarray) -> None:
-        """Linear-implicit step driven by the noise increment ``eta``."""
-        p = self.prop
-        t2, t3 = self._wick()
-        self.t1 = p.apply(self.t1 + eta, p.imex_mult)
-        self.t20 = p.apply(self.t20 + p.dt * t2, p.imex_mult)
-        self.t30 = p.apply(self.t30 + p.dt * t3, p.imex_mult)
-
-    def step_exact(self, normals: np.ndarray, amplitude: float) -> None:
-        """Exact OU step for tree1, exponential Euler for the heat integrals."""
-        p = self.prop
-        t2, t3 = self._wick()
-        self.t1 = p.ifft(p.fft(self.t1) * p.ou_decay
-                         + amplitude * p.fft(normals) * p.ou_noise_mult)
-        self.t20 = p.ifft(p.fft(self.t20) * p.ou_decay + p.exp_euler_weight * p.fft(t2))
-        self.t30 = p.ifft(p.fft(self.t30) * p.ou_decay + p.exp_euler_weight * p.fft(t3))
+    def step(self, eta: np.ndarray) -> None:
+        """One step driven by the noise increment ``eta``: four transforms."""
+        for row, source in zip(self._source, (eta, self.t2, self.t3)):
+            self.prop.fft(source, out=row)
+        self._source *= self.weights
+        self.hat *= self.decay
+        self.hat += self._source
+        self._set_tree1(self.prop.ifft(self.hat[0]))  # not in place: that would overwrite hat
 
     def store(self, k: int) -> bool:
         """Store the trees after step ``k`` if it is a storage step; say whether it was."""
         if k % self.store_every:
             return False
-        t2, t3 = self._wick()
-        self.times.append(k * self.prop.dt)
-        for key, val in (("1", self.t1.copy()), ("2", t2), ("3", t3),
-                         ("20", self.t20.copy()), ("30", self.t30.copy())):
-            self.stored[key].append(val)
+        i = k // self.store_every - 1
+        for key, val in (("1", self.t1), ("2", self.t2), ("3", self.t3),
+                         ("20", self.prop.ifft(self.hat[1])), ("30", self.prop.ifft(self.hat[2]))):
+            self.stored[key][i] = val
         return True
 
-    def ensemble(self, c2: float, mode: str, seed: int) -> TreeEnsemble:
-        """Hand the stored series over as arrays; each list is dropped once its array is built."""
+    def ensemble(self, c2: float, seed: int) -> TreeEnsemble:
+        """Hand the stored series over, with their times ``k * dt``."""
         p = self.prop
-        stored = {k: np.array(self.stored.pop(k)) for k in tuple(self.stored)}
-        return TreeEnsemble(grid=p.grid, times=np.array(self.times), dt=p.dt, c1=self.c1,
-                            c2=c2, m2=p.m2, stored=stored, mode=mode, seed=seed)
+        times = self.store_every * np.arange(1, len(self.stored["1"]) + 1) * p.dt
+        return TreeEnsemble(grid=p.grid, times=times, dt=p.dt, c1=self.c1, c2=c2, m2=p.m2,
+                            stored=self.stored, mode=self.mode, seed=seed)
 
 
 def evolve_trees(
@@ -199,18 +195,18 @@ def evolve_trees(
     noise_amplitude: float = 1.0,
     initial_tree1: np.ndarray | None = None,
 ) -> TreeEnsemble:
-    """Evolve the ensemble for ``n_steps`` steps of size ``dt``.
+    """Evolve the ensemble for ``n_steps`` steps of size ``dt``; store every ``store_every``-th.
 
     ``mode='imex'`` advances tree1 with the same linear-implicit update as
     the chain (so it can share the chain's noise increments); ``mode='exact'``
     uses per-mode exact OU transitions for tree1 and exponential-Euler
     accumulation for the heat integrals, which removes all time-
-    discretisation bias from the stationary laws of tree1 and tree2.
-    Wick powers are formed exactly from c1 at every stored time; tree20 and
-    tree30 start from zero at t = 0.
+    discretisation bias from the stationary laws of tree1 and tree2.  Both
+    modes step the trees on the half spectrum (:class:`_TreeState`).
+    tree1 starts from ``initial_tree1``, else from the exact stationary linear
+    field; tree20 and tree30 from zero at t = 0.  Wick powers are formed
+    exactly from c1 at every stored time.
     """
-    if mode not in ("imex", "exact"):
-        raise ValueError(f"unknown tree evolution mode {mode!r}")
     if stream is None:
         stream = NoiseStream(seed, grid, stream_id=stream_id)
     if c1 is None:
@@ -219,20 +215,15 @@ def evolve_trees(
         c2 = compute_c2(grid, m2)
 
     prop = LinearPropagator(grid, m2, dt)
-    if initial_tree1 is not None:
-        state = _TreeState(prop, c1, np.array(initial_tree1, dtype=float), store_every)
-    else:
-        state = _TreeState.stationary(prop, c1, stream.standard_normals(), store_every,
-                                      noise_amplitude)
+    tree1 = (noise_amplitude * prop.apply(stream.standard_normals(), prop.stationary_mult)
+             if initial_tree1 is None else np.array(initial_tree1, dtype=float))
+    state = _TreeState(prop, c1, tree1, n_steps, store_every, mode)
     for k in range(1, n_steps + 1):
-        if mode == "imex":
-            state.step_imex(noise_amplitude * prop.noise_scale * stream.standard_normals())
-        else:
-            state.step_exact(stream.standard_normals(), noise_amplitude)
-        if not np.all(np.isfinite(state.t20)) or not np.all(np.isfinite(state.t30)):
+        state.step(noise_amplitude * prop.noise_scale * stream.standard_normals())
+        if not np.all(np.isfinite(state.hat[1:])):
             raise RuntimeError(f"sourced tree blow-up at step {k}: dt too large")
         state.store(k)
-    return state.ensemble(c2, mode, stream.seed)
+    return state.ensemble(c2, stream.seed)
 
 
 def _co_evolve(cfg: SimConfig, u: np.ndarray, store_every: int, noise_amplitude: float,
@@ -245,15 +236,16 @@ def _co_evolve(cfg: SimConfig, u: np.ndarray, store_every: int, noise_amplitude:
     grid = cfg.grid()
     stepper = _Stepper(cfg, grid)
     stream = NoiseStream(cfg.seed, grid, stream_id=cfg.stream_id)
-    state = _TreeState.stationary(stepper.prop, compute_c1(grid, cfg.m2),
-                                  stream.standard_normals(), store_every, noise_amplitude)
+    prop = stepper.prop
+    tree1 = noise_amplitude * prop.apply(stream.standard_normals(), prop.stationary_mult)
+    state = _TreeState(prop, compute_c1(grid, cfg.m2), tree1, cfg.n_steps(), store_every, "imex")
     for k in range(1, cfg.n_steps() + 1):
         eta = noise_amplitude * stepper.noise_scale * stream.standard_normals()
         u = step(stepper, u, eta, k)
-        state.step_imex(eta)
+        state.step(eta)
         if state.store(k):
             on_store(k * cfg.dt, u, state.t1)
-    return state.ensemble(compute_c2(grid, cfg.m2), "imex", cfg.seed)
+    return state.ensemble(compute_c2(grid, cfg.m2), cfg.seed)
 
 
 def evolve_with_chain(

@@ -349,23 +349,24 @@ def volume_pair_seminorms(
     restrict = (slice(0, grid_s.sites_per_axis),) * d
 
     white0 = stream.standard_normals()
-    states = {
-        tag: _TreeState.stationary(LinearPropagator(grid, m2, dt), compute_c1(grid, m2), w0,
-                                   store_every)
-        for tag, grid, w0 in (("small", grid_s, white0[restrict]), ("large", grid_l, white0))
-    }
+    n_steps = int(round(1.0 / dt))
+    states = {}
+    for tag, grid, w0 in (("small", grid_s, white0[restrict]), ("large", grid_l, white0)):
+        prop = LinearPropagator(grid, m2, dt)
+        states[tag] = _TreeState(prop, compute_c1(grid, m2), prop.apply(w0, prop.stationary_mult),
+                                 n_steps, store_every, "imex")
     noise_scale = states["small"].prop.noise_scale
-    for k in range(1, int(round(1.0 / dt)) + 1):
+    for k in range(1, n_steps + 1):
         white = stream.standard_normals()
         for tag, w in (("small", white[restrict]), ("large", white)):
-            states[tag].step_imex(noise_scale * w)
+            states[tag].step(noise_scale * w)
             states[tag].store(k)
 
     box = BoxRegion((-N_box,) * d, (N_box,) * d)
     out = {}
     for tag, st in states.items():
         grid = st.prop.grid
-        ens = st.ensemble(compute_c2(grid, m2), "imex", seed)
+        ens = st.ensemble(compute_c2(grid, m2), seed)
         kernels = DyadicKernelFamily(grid, store_dt=dt * store_every)
         out[tag] = seminorm_report(ens, kernels, kappa, domain=box)
     return out

@@ -239,3 +239,46 @@ def sobolev_norm_sq_complex(values: np.ndarray, eps: float, alpha: float) -> flo
     mult = np.zeros_like(mu)
     mult[mu > 0] = mu[mu > 0] ** (-alpha)
     return float(np.sum(np.abs(fhat) ** 2 * mult))
+
+
+def tree_series_real_space(prop, c1: float, tree1: np.ndarray | None, normals, n_steps: int,
+                           store_every: int, amplitude: float, mode: str) -> dict[str, np.ndarray]:
+    """Stored trees 1, 2, 3, 20, 30 by the real-space recursions: every step takes
+    tree1, tree20 and tree30 to the spectrum and back.
+
+    ``prop`` supplies the Fourier multipliers only; ``normals()`` returns the next
+    standard-normal draw.  ``tree1=None`` starts from the stationary field made from
+    the first draw.  ``imex``: ``tree1 <- (1 + dt A)^-1 (tree1 + amplitude * noise_scale
+    * xi)`` and ``tree_k0 <- (1 + dt A)^-1 (tree_k0 + dt * tree_k)``.  ``exact``: the
+    OU transition of tree1 and the exponential-Euler update of the heat integrals.
+    """
+
+    axes = tuple(range(prop.grid.d))
+
+    def fft(values):
+        return np.fft.rfftn(values, axes=axes)
+
+    def ifft(spec):
+        return np.fft.irfftn(spec, prop.grid.shape, axes)
+
+    def wick(t1):
+        return t1 * t1 - c1, t1 * (t1 * t1 - 3.0 * c1)
+
+    t1 = amplitude * ifft(fft(normals()) * prop.stationary_mult) if tree1 is None else tree1
+    t20 = t30 = np.zeros(t1.shape)
+    stored: dict[str, list] = {key: [] for key in ("1", "2", "3", "20", "30")}
+    for k in range(1, n_steps + 1):
+        t2, t3 = wick(t1)
+        xi = normals()
+        if mode == "imex":
+            t1 = ifft(fft(t1 + amplitude * prop.noise_scale * xi) * prop.imex_mult)
+            t20 = ifft(fft(t20 + prop.dt * t2) * prop.imex_mult)
+            t30 = ifft(fft(t30 + prop.dt * t3) * prop.imex_mult)
+        else:
+            t1 = ifft(fft(t1) * prop.ou_decay + amplitude * fft(xi) * prop.ou_noise_mult)
+            t20 = ifft(fft(t20) * prop.ou_decay + prop.exp_euler_weight * fft(t2))
+            t30 = ifft(fft(t30) * prop.ou_decay + prop.exp_euler_weight * fft(t3))
+        if k % store_every == 0:
+            for key, val in zip(stored, (t1, *wick(t1), t20, t30)):
+                stored[key].append(val)
+    return {key: np.array(vals) for key, vals in stored.items()}

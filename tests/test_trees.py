@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from phi4lattice.lattice import BoxRegion, Field, build_grid, mu_symbol
+from phi4lattice.lattice import BoxRegion, Field, LinearPropagator, build_grid, mu_symbol
 from phi4lattice.noise import NoiseStream
 from phi4lattice.trees import (
     DyadicKernelFamily,
     N_LEAVES,
     TreeEnsemble,
+    _TreeState,
     evolve_trees,
     evolve_with_chain,
     holder_norm_neg,
@@ -17,7 +18,7 @@ from phi4lattice.trees import (
     seminorm_report,
 )
 
-from oracles import holder_norm_neg_complex, seminorm_brute
+from oracles import holder_norm_neg_complex, seminorm_brute, tree_series_real_space
 
 
 class NegatedStream(NoiseStream):
@@ -116,6 +117,47 @@ class TestEvolution:
             a = seminorm(tau, plus, kern, 0.2)
             b = seminorm(tau, minus, kern, 0.2)
             assert a == pytest.approx(b, rel=1e-10)
+
+
+    @pytest.mark.parametrize("start", ["stationary", "initial"])
+    @pytest.mark.parametrize("mode", ["imex", "exact"])
+    @pytest.mark.parametrize("d, n", [(1, 5), (2, 3), (3, 2)])
+    def test_matches_real_space_oracle(self, d, n, mode, start):
+        g = build_grid(d, 1.0, n)
+        dt, n_steps, store_every, amp = 0.01, 1000, 3, 0.8  # 1000 % 3 != 0
+        initial = None
+        if start == "initial":
+            initial = 1.5 * np.cos(2.0 * np.pi * g.site_coords()[..., 0] / g.L)
+        ens = evolve_trees(g, dt=dt, n_steps=n_steps, seed=31, mode=mode, store_every=store_every,
+                           noise_amplitude=amp, initial_tree1=initial)
+        ref = tree_series_real_space(LinearPropagator(g, 1.0, dt), ens.c1, initial,
+                                     NoiseStream(31, g).standard_normals, n_steps, store_every,
+                                     amp, mode)
+        assert len(ens.times) == n_steps // store_every
+        expected_times = np.array([k * dt for k in range(store_every, n_steps + 1, store_every)])
+        assert ens.times.tobytes() == expected_times.tobytes()
+        for key, val in ref.items():
+            assert ens.stored[key].shape == val.shape
+            assert np.max(np.abs(ens.stored[key] - val)) <= 1e-12 * np.max(np.abs(val)), key
+
+    @pytest.mark.parametrize("mode", ["imex", "exact"])
+    def test_four_transforms_per_step_two_per_store(self, mode, monkeypatch):
+        g = build_grid(2, 1.0, 3)
+        state = _TreeState(LinearPropagator(g, 1.0, 0.01), 1.0, np.ones(g.shape), 10, 5, mode)
+        calls = []
+        for name in ("rfftn", "irfftn", "ifft", "irfft"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _real=real, _name=name, **kw:
+                                calls.append(_name) or _real(*a, **kw))
+        for k in range(1, 11):
+            state.step(np.zeros(g.shape))
+            state.store(k)
+        assert len(calls) == 10 * 4 + 2 * 2
+        assert calls.count("rfftn") == 10 * 3
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown tree evolution mode"):
+            small_ensemble(mode="euler")
 
 
 class TestKernels:
