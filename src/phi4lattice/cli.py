@@ -194,6 +194,7 @@ class OutputDir:
     def __init__(self, out, values: dict):
         self.out = Path(out)
         self.out.mkdir(parents=True, exist_ok=True)
+        (self.out / "manifest.json").unlink(missing_ok=True)  # a failed rerun leaves no old one
         self.values = values
         self.parameters = _parameters(values)
         self.files: dict[str, str] = {}

@@ -150,6 +150,20 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert sorted(p.name for p in out.iterdir()) == ["samples.csv"]
 
+    def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, MINIMAL + "snapshot_every = 10\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+
+        def broken_write(path, fld, seed):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_snapshot", broken_write)
+        cfg.write_text(MINIMAL.replace("t_end = 0.2", "t_end = 0.3") + "snapshot_every = 10\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not (out / "manifest.json").exists()
+
     def test_audit_detects_altered_file(self, tmp_path, monkeypatch, capsys):
         close = cli.OutputDir.close
 
