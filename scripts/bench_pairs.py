@@ -11,8 +11,9 @@ before side first in even pairs and second in odd ones, so a drift of the
 host's speed does not favour one side.  Every ``--traced`` workload then adds
 one ``--trace 1`` row per side.  Each row keeps the exit code, the machine
 stamp and the JSON result that ``bench/run.py`` prints; the summary gives the
-per-side medians of the end-to-end metrics and how many pairs the after side
-won.  Rows already in ``--out`` are kept, so a second call adds pairs.
+per-side medians and interquartile ranges of the end-to-end metrics and how many
+pairs the after side won, so a median gap can be read against each side's own
+spread.  Rows already in ``--out`` are kept, so a second call adds pairs.
 ``bench/run.py`` runs unchanged, from the root of each checkout.
 """
 
@@ -38,6 +39,14 @@ def bench_row(checkout: Path, workload: str, trace: int) -> dict:
             "stamp": stamps[-1] if stamps else None, "result": result}
 
 
+def iqr(values: list[float]) -> float:
+    """Distance between the quartiles (linear interpolation; 0 for a single value)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def summary(rows: list[dict], better: dict[str, str]) -> dict:
     out = {}
     for workload in sorted({r["workload"] for r in rows}):
@@ -51,11 +60,14 @@ def summary(rows: list[dict], better: dict[str, str]) -> dict:
         table = {}
         for name, direction in better.items():
             sign = 1.0 if direction == "lower" else -1.0
+            before = [p["before"][name]["value"] for p in both]
+            after = [p["after"][name]["value"] for p in both]
             table[name] = {
-                "before_median": statistics.median(p["before"][name]["value"] for p in both),
-                "after_median": statistics.median(p["after"][name]["value"] for p in both),
-                "after_better_pairs": sum(sign * (p["after"][name]["value"] - p["before"][name]["value"]) < 0
-                                          for p in both),
+                "before_median": statistics.median(before),
+                "after_median": statistics.median(after),
+                "before_iqr": iqr(before),
+                "after_iqr": iqr(after),
+                "after_better_pairs": sum(sign * (a - b) < 0 for a, b in zip(after, before)),
                 "pairs": len(both),
             }
         out[workload] = table
