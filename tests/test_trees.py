@@ -118,7 +118,6 @@ class TestEvolution:
             b = seminorm(tau, minus, kern, 0.2)
             assert a == pytest.approx(b, rel=1e-10)
 
-
     @pytest.mark.parametrize("start", ["stationary", "initial"])
     @pytest.mark.parametrize("mode", ["imex", "exact"])
     @pytest.mark.parametrize("d, n", [(1, 5), (2, 3), (3, 2)])
