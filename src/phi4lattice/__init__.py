@@ -12,12 +12,16 @@ sampler it provides:
 * statistical verification suites (invariant-density reweighting,
   partition-function plateaus, tail exponents, a priori bound batteries,
   coupled-grid convergence studies).
+
+Fields, noise increments and tree series are numpy arrays of the grid's shape,
+and the norms, the noise coarsening and the test-function pairing act on them;
+:class:`Field` adds the grid and time to initial conditions and snapshots.
 """
 
 __version__ = "0.1.0"
 
 from .lattice import LatticeGrid, Field, TestFunction, build_grid
-from .noise import NoiseStream, NoiseIncrement
+from .noise import NoiseStream
 from .renorm import RenormConstants, compute_c1, compute_c2
 from .potential import TruncatedPotential
 
@@ -27,7 +31,6 @@ __all__ = [
     "TestFunction",
     "build_grid",
     "NoiseStream",
-    "NoiseIncrement",
     "RenormConstants",
     "compute_c1",
     "compute_c2",

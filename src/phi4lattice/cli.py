@@ -284,6 +284,9 @@ def cmd_run(args) -> int:
     out_dir.files.update(kept)
     for step_idx, fld in result.snapshots:
         out_dir.write(f"snapshot_{step_idx:08d}.snap", write_snapshot, fld, seed=values["seed"])
+    for stale in out_dir.out.glob("snapshot_*.snap"):  # an earlier run's, unlisted now
+        if stale.name not in out_dir.files:
+            stale.unlink()
     if rc := out_dir.close():
         return rc
     print(f"run complete: {len(pairing)} records -> {out_dir.out}")

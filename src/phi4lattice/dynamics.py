@@ -28,6 +28,7 @@ index; it is never clamped.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -43,7 +44,6 @@ from .lattice import (
     build_grid,
     sample_test_function,
     stencil_laplacian,
-    weighted_pairing,
 )
 from .noise import NoiseStream
 from .potential import TruncatedPotential, holder_norm_neg, sobolev_norm_sq
@@ -164,12 +164,7 @@ class _Stepper:
         self.noise_scale = self.prop.noise_scale
         self.rc = cfg.renorm(grid)
         self.quadratic = cfg.quadratic
-        if cfg.beta != 0.0:
-            self.psi_eps: np.ndarray | None = sample_test_function(cfg.test_function(), grid)
-            self.potential = TruncatedPotential(cfg.potential_n)
-        else:
-            self.psi_eps = None
-            self.potential = None
+        self.potential = TruncatedPotential(cfg.potential_n) if cfg.beta != 0.0 else None
         self._shape: tuple[int, ...] | None = None
 
     def _scratch(self, shape: tuple[int, ...]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -181,12 +176,21 @@ class _Stepper:
             self._shape = shape
         return self._work, self._spec
 
+    @functools.cached_property
+    def psi_eps(self) -> np.ndarray:
+        """Cell averages of the config's test function, sampled on first use."""
+        return sample_test_function(self.cfg.test_function(), self.grid)
+
+    def pairing(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``<iota u, psi> = eps^d sum u psi_eps`` over the trailing d axes (product in ``out``)."""
+        d = self.grid.d
+        return self.grid.eps**d * np.sum(np.multiply(values, self.psi_eps, out=out),
+                                         axis=tuple(range(-d, 0)))
+
     def _psi_term(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Tilt drift ``beta F'(<iota u, psi>) psi_eps`` into ``out``, for any leading batch shape."""
         d = self.grid.d
-        x = self.grid.eps**d * np.sum(np.multiply(values, self.psi_eps, out=out),
-                                      axis=tuple(range(-d, 0)))
-        coeff = self.cfg.beta * self.potential.deriv(x)
+        coeff = self.cfg.beta * self.potential.deriv(self.pairing(values, out=out))
         return np.multiply(np.reshape(coeff, np.shape(coeff) + (1,) * d), self.psi_eps, out=out)
 
     def explicit_drift(self, values: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -197,7 +201,7 @@ class _Stepper:
         np.multiply(values, self.rc.mass_counterterm + self.cfg.m2, out=out)
         if self.cfg.integrator != "split":
             out -= np.power(values, 3, out=tmp)
-        if self.psi_eps is not None:
+        if self.potential is not None:
             out += self._psi_term(values, tmp)
         return out
 
@@ -206,7 +210,7 @@ class _Stepper:
         if self.quadratic:
             return lap - self.cfg.m2 * values
         out = lap + self.rc.mass_counterterm * values - values**3
-        if self.psi_eps is not None:
+        if self.potential is not None:
             out = out + self._psi_term(values, np.empty_like(values))
         return out
 
@@ -316,7 +320,6 @@ def run_chain(
         values, k = initial.values.copy(), 0
         stream = NoiseStream(cfg.seed, grid, stream_id=cfg.stream_id)
 
-    psi_eps = sample_test_function(cfg.test_function(), grid)
     norm_alpha = -0.5 - cfg.norm_kappa
 
     n_steps = cfg.n_steps()
@@ -330,20 +333,12 @@ def run_chain(
         if cfg.snapshot_every and k % cfg.snapshot_every == 0:
             snapshots.append((k, Field(grid, values.copy(), k * cfg.dt)))
         if k > cfg.burn_in and (k - cfg.burn_in) % cfg.thinning == 0:
-            f = Field(grid, values, k * cfg.dt)
-            x = np.float64(weighted_pairing(f, psi_eps))
             # large finite fields may overflow the quartic observables to inf
             with np.errstate(over="ignore", invalid="ignore"):
-                recs.append(
-                    (
-                        k,
-                        f.time,
-                        float(x),
-                        float(0.25 * cfg.beta * x**4),
-                        float(0.25 * cfg.beta * np.float64(sobolev_norm_sq(f, cfg.alpha)) ** 2),
-                        holder_norm_neg(f, norm_alpha),
-                    )
-                )
+                x = stepper.pairing(values)
+                w = np.float64(sobolev_norm_sq(values, grid, cfg.alpha))
+                recs.append((k, k * cfg.dt, float(x), float(0.25 * cfg.beta * x**4),
+                             float(0.25 * cfg.beta * w**2), holder_norm_neg(values, grid, norm_alpha)))
 
     arr = np.array(recs, dtype=float) if recs else np.zeros((0, 6))
     return RunResult(
@@ -388,7 +383,6 @@ class BatchChain:
         else:
             self.values = np.zeros(shape)
         self.step_index = 0
-        self.psi_eps = sample_test_function(cfg.test_function(), self.grid)
 
     def advance(self, n_steps: int = 1) -> None:
         scale = self.stepper.noise_scale
@@ -401,9 +395,7 @@ class BatchChain:
 
     def pairings(self) -> np.ndarray:
         """Observable ``<iota u, psi>`` per chain."""
-        w = self.grid.eps**self.grid.d
-        axes = tuple(range(1, self.grid.d + 1))
-        return w * np.sum(self.values * self.psi_eps, axis=axes)
+        return self.stepper.pairing(self.values)
 
     def sample_pairings(self, n_records: int, stride: int) -> np.ndarray:
         """Record the pairing every ``stride`` steps; shape (n_chains, n_records)."""

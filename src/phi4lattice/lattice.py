@@ -35,6 +35,7 @@ __all__ = [
     "LinearPropagator",
     "weighted_pairing",
     "sample_test_function",
+    "block_mean",
     "project",
     "iota_refine",
     "write_snapshot",
@@ -417,6 +418,15 @@ def iota_refine(f: Field, levels: int = 1) -> Field:
     return Field(fine, v, f.time)
 
 
+def block_mean(values: np.ndarray, r: int) -> np.ndarray:
+    """Mean of every ``r^d`` block tiling a d-dimensional lattice array."""
+    n = values.shape[0] // r
+    v = values.reshape([n, r] * values.ndim)
+    for axis in range(1, values.ndim + 1):
+        v = v.mean(axis=axis)
+    return v
+
+
 def project(zeta: Field | Callable[[np.ndarray], np.ndarray], grid: LatticeGrid) -> Field:
     """Box-averaging projection onto ``grid``: ``eps^-d * integral over cells``.
 
@@ -430,16 +440,7 @@ def project(zeta: Field | Callable[[np.ndarray], np.ndarray], grid: LatticeGrid)
                 f"input grid (d={zeta.grid.d}, L={zeta.grid.L}, N={zeta.grid.N}) is not a "
                 f"dyadic refinement of the target (d={grid.d}, L={grid.L}, N={grid.N})"
             )
-        r = 2 ** (zeta.grid.N - grid.N)
-        v = zeta.values
-        n = grid.sites_per_axis
-        new_shape: list[int] = []
-        for _ in range(grid.d):
-            new_shape.extend([n, r])
-        v = v.reshape(new_shape)
-        for axis in range(grid.d):
-            v = v.mean(axis=axis + 1)
-        return Field(grid, v, zeta.time)
+        return Field(grid, block_mean(zeta.values, 2 ** (zeta.grid.N - grid.N)), zeta.time)
     integrals = _box_integrals(grid, zeta)
     return Field(grid, integrals / grid.eps**grid.d)
 

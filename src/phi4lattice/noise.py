@@ -1,11 +1,11 @@
 """Seeded discrete space-time white noise with exact dyadic coarsening.
 
-An increment over a time step ``dt`` carries independent ``N(0, dt * eps^-d)``
-entries per lattice site (the law of the cell-averaged white noise).  Draws
-come from a counter-based generator (Philox) keyed by ``(seed, stream_id)``
-and indexed by a monotone draw counter, so any ``(seed, grid, counter)``
-triple reproduces identical bytes regardless of how many draws preceded it
-and across platforms.
+An increment over a time step ``dt`` is an array of the grid's shape with
+independent ``N(0, dt * eps^-d)`` entries per lattice site (the law of the
+cell-averaged white noise).  Draws come from a counter-based generator
+(Philox) keyed by ``(seed, stream_id)`` and indexed by a monotone draw
+counter, so any ``(seed, grid, counter)`` triple reproduces identical bytes
+regardless of how many draws preceded it and across platforms.
 
 Coupled multi-scale runs generate at the finest level and coarsen: the block
 mean of the ``2^d`` child-cell values of one coarse cell has exactly the law
@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Field, GridError, LatticeGrid, project
+from .lattice import GridError, LatticeGrid, block_mean
 
-__all__ = ["NoiseStream", "NoiseIncrement", "draw_increment", "coarsen"]
+__all__ = ["NoiseStream", "draw_increment", "coarsen"]
 
 # Draws of at least this many values prefetch the next draw on a worker thread;
 # below it the hand-off costs more than the draw.
@@ -36,18 +36,6 @@ def _worker() -> ThreadPoolExecutor:
     if _executor is None:
         _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phi4-noise")
     return _executor
-
-
-@dataclass
-class NoiseIncrement:
-    """Integrated noise over one step: per-site N(0, dt * eps^-d) draws."""
-
-    grid: LatticeGrid
-    dt: float
-    values: np.ndarray
-
-    def as_field(self, time: float = 0.0) -> Field:
-        return Field(self.grid, self.values, time)
 
 
 @dataclass
@@ -109,20 +97,18 @@ class NoiseStream:
                              _worker().submit(gen.standard_normal, out=buf))
         return out
 
-    def draw(self, dt: float) -> NoiseIncrement:
+    def draw(self, dt: float) -> np.ndarray:
         return draw_increment(self, dt)
 
 
-def draw_increment(stream: NoiseStream, dt: float) -> NoiseIncrement:
+def draw_increment(stream: NoiseStream, dt: float) -> np.ndarray:
     """Draw one increment: iid ``N(0, dt * eps^-d)`` per site."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    scale = np.sqrt(dt * stream.grid.eps ** (-stream.grid.d))
-    values = scale * stream.standard_normals()
-    return NoiseIncrement(stream.grid, dt, values)
+    return np.sqrt(dt * stream.grid.eps ** (-stream.grid.d)) * stream.standard_normals()
 
 
-def coarsen(fine: NoiseIncrement, levels: int = 1) -> NoiseIncrement:
+def coarsen(values: np.ndarray, levels: int = 1) -> np.ndarray:
     """Block-average an increment onto the 2^levels coarser nested grid.
 
     The mean of the ``2^d`` fine values tiling one coarse cell has variance
@@ -131,8 +117,6 @@ def coarsen(fine: NoiseIncrement, levels: int = 1) -> NoiseIncrement:
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    g = fine.grid
-    coarse_grid = LatticeGrid(g.d, g.L, g.N - levels)
-    if coarse_grid.sites_per_axis < 1:
+    if values.shape[0] < 2**levels:
         raise GridError("cannot coarsen below 1 site per axis")
-    return NoiseIncrement(coarse_grid, fine.dt, project(fine.as_field(), coarse_grid).values)
+    return block_mean(values, 2**levels)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import BoxRegion, Field, LatticeGrid, spectrum
+from .lattice import BoxRegion, LatticeGrid, spectrum
 
 __all__ = ["TruncatedPotential", "sobolev_norm_sq", "holder_norm_neg"]
 
@@ -98,20 +98,19 @@ class TruncatedPotential:
     __call__ = value
 
 
-def sobolev_norm_sq(f: Field, alpha: float) -> float:
+def sobolev_norm_sq(values: np.ndarray, grid: LatticeGrid, alpha: float) -> float:
     """Squared negative-Sobolev norm ``sum_{k != 0} |fhat(k)|^2 mu(k)^-alpha``.
 
-    ``fhat`` is the transform unitary for the eps^d-weighted inner product
-    (``sum |fhat|^2 = eps^d sum f^2``), so at ``alpha = 0`` the value equals
-    ``eps^d sum (f - mean f)^2``.  By Parseval it is evaluated as ``eps^d
+    ``f`` is the array ``values`` on ``grid``, and ``fhat`` is the transform
+    unitary for the eps^d-weighted inner product (``sum |fhat|^2 = eps^d sum
+    f^2``), so at ``alpha = 0`` the value equals ``eps^d sum (f - mean f)^2``.  By Parseval it is evaluated as ``eps^d
     sum f * (mu^-alpha f)``, with the mode-0 multiplier set to 0.  ``phi4
     run`` records its square, times ``beta / 4``, as the W observable.
     """
-    grid = f.grid
     sp = spectrum(grid)
     mult = np.zeros_like(sp.mu)
     np.power(sp.mu, -alpha, out=mult, where=sp.mu > 0)
-    return float(grid.eps**grid.d * np.sum(f.values * sp.apply(f.values, mult)))
+    return float(grid.eps**grid.d * np.sum(values * sp.apply(values, mult)))
 
 
 @functools.cache
@@ -135,17 +134,19 @@ def _block_masks(grid: LatticeGrid) -> np.ndarray:
     return masks
 
 
-def holder_norm_neg(f: Field, alpha: float, domain: BoxRegion | None = None) -> float:
+def holder_norm_neg(values: np.ndarray, grid: LatticeGrid, alpha: float,
+                    domain: BoxRegion | None = None) -> float:
     """Negative-regularity Holder norm proxy: ``max_j 2^(j alpha) sup |block_j f|``.
 
+    ``f`` is the array ``values`` on ``grid``; with ``domain`` the sup runs over
+    the sites in that box.
     Blocks are sharp Fourier annuli ``2^(j-1) <= |k|_inf < 2^j`` (block 0 is
     the spatial mean).  This is a documented norm-equivalent proxy; it is
     used consistently on both sides of every comparison in the package.
     """
-    grid = f.grid
     masks = _block_masks(grid)
-    blocks = spectrum(grid).apply(f.values, masks)
+    blocks = spectrum(grid).apply(values, masks)
     if domain is not None:
         blocks = blocks[:, domain.mask(grid)]
     sups = np.max(np.abs(blocks.reshape(len(masks), -1)), axis=1)
-    return float(np.max(2.0 ** (np.arange(len(masks)) * alpha) * sups))  # NaN in f propagates
+    return float(np.max(2.0 ** (np.arange(len(masks)) * alpha) * sups))  # NaN in values propagates

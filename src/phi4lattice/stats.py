@@ -120,18 +120,9 @@ class SampleSet:
         return self.n_total / (2.0 * self.autocorr_time())
 
     def mean_and_se(self, transform: Callable[[np.ndarray], np.ndarray] | None = None):
-        """Mean of (transformed) samples with an autocorrelation-aware SE."""
-        vals = self.values if transform is None else transform(self.values)
-        if vals.ndim == 2 and vals.shape[0] >= 8:
-            chain_means = vals.mean(axis=1)
-            m = float(chain_means.mean())
-            se = float(chain_means.std(ddof=1) / math.sqrt(len(chain_means)))
-            return m, se
-        flat = vals.reshape(-1)
-        tau = integrated_autocorr_time(flat)
-        m = float(flat.mean())
-        se = float(flat.std(ddof=1) * math.sqrt(2.0 * tau / len(flat)))
-        return m, se
+        """Mean of (transformed) samples with a chain-aware SE: the unweighted ratio estimate."""
+        g = (lambda x: x) if transform is None else transform
+        return _ratio_mean_and_se(self.values, np.zeros(self.values.shape), g)
 
 
 def density_log_weight(p: TruncatedPotential, beta: float, x: np.ndarray) -> np.ndarray:
@@ -339,7 +330,8 @@ class CrossCheckReport:
 
 
 def _ratio_mean_and_se(x: np.ndarray, log_w: np.ndarray, g: Callable) -> tuple[float, float]:
-    """Self-normalised importance estimate with chain-aware errors."""
+    """Self-normalised importance estimate with chain-aware errors: the spread of the
+    per-chain estimates for 8 or more chains, else the pooled delta method."""
     gv = g(x)
     w = np.exp(log_w - log_w.max())
     if x.ndim == 2 and x.shape[0] >= 8:

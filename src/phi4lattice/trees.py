@@ -57,7 +57,6 @@ __all__ = [
     "evolve_with_chain",
     "seminorm",
     "seminorm_report",
-    "scale_profile",
     "holder_norm_neg",
     "holder_seminorm_one",
 ]
@@ -110,8 +109,6 @@ class TreeEnsemble:
     c2: float
     m2: float
     stored: dict[str, np.ndarray]
-    mode: str
-    seed: int = 0
 
     @property
     def n_times(self) -> int:
@@ -141,7 +138,7 @@ class _TreeState:
             raise ValueError(f"unknown tree evolution mode {mode!r}")
         self.decay, noise_weight, source_weight = weights[mode]
         self.weights = np.stack((noise_weight, source_weight, source_weight))
-        self.prop, self.c1, self.mode, self.store_every = prop, c1, mode, store_every
+        self.prop, self.c1, self.store_every = prop, c1, store_every
         self._set_tree1(tree1)
         self.hat = np.zeros((3, *prop.mu.shape), complex)
         prop.fft(tree1, out=self.hat[0])
@@ -171,12 +168,12 @@ class _TreeState:
             self.stored[key][i] = val
         return True
 
-    def ensemble(self, c2: float, seed: int) -> TreeEnsemble:
+    def ensemble(self, c2: float) -> TreeEnsemble:
         """Hand the stored series over, with their times ``k * dt``."""
         p = self.prop
         times = self.store_every * np.arange(1, len(self.stored["1"]) + 1) * p.dt
         return TreeEnsemble(grid=p.grid, times=times, dt=p.dt, c1=self.c1, c2=c2, m2=p.m2,
-                            stored=self.stored, mode=self.mode, seed=seed)
+                            stored=self.stored)
 
 
 def evolve_trees(
@@ -220,10 +217,13 @@ def evolve_trees(
     state = _TreeState(prop, c1, tree1, n_steps, store_every, mode)
     for k in range(1, n_steps + 1):
         state.step(noise_amplitude * prop.noise_scale * stream.standard_normals())
-        if not np.all(np.isfinite(state.hat[1:])):
-            raise RuntimeError(f"sourced tree blow-up at step {k}: dt too large")
+        for name, hat in zip(("tree20", "tree30"), state.hat[1:]):
+            if not np.all(np.isfinite(hat)):  # both modes are stable at every dt
+                raise RuntimeError(f"sourced tree blow-up at step {k}: {name} became non-finite "
+                                   "because its Wick source overflowed; the initial tree1 or "
+                                   "the noise amplitude is too large")
         state.store(k)
-    return state.ensemble(c2, stream.seed)
+    return state.ensemble(c2)
 
 
 def _co_evolve(cfg: SimConfig, u: np.ndarray, store_every: int, noise_amplitude: float,
@@ -245,7 +245,7 @@ def _co_evolve(cfg: SimConfig, u: np.ndarray, store_every: int, noise_amplitude:
         state.step(eta)
         if state.store(k):
             on_store(k * cfg.dt, u, state.t1)
-    return state.ensemble(compute_c2(grid, cfg.m2), cfg.seed)
+    return state.ensemble(compute_c2(grid, cfg.m2))
 
 
 def evolve_with_chain(
@@ -426,28 +426,6 @@ def _check_kappa(kappa: float) -> None:
         raise ValueError(f"kappa must lie in (0, 1/4), got {kappa}")
 
 
-def scale_profile(
-    tau: str,
-    ens: TreeEnsemble,
-    kernels: DyadicKernelFamily,
-    kappa: float,
-    domain: BoxRegion | None = None,
-    site_stride: int = 2,
-    time_stride: int = 4,
-) -> np.ndarray:
-    """Per-scale values ``lam^e * sup |...|`` over decimated base points.
-
-    Base points run over every ``site_stride``-th site and every
-    ``time_stride``-th stored time, restricted to ``domain`` (spatial box)
-    when given.  tree1 has no kernel profile: :func:`seminorm` measures it
-    by the Holder proxy.
-    """
-    _check_kappa(kappa)
-    if tau == "1":
-        raise ValueError("tree 1 has no kernel scale profile; its seminorm is the Holder proxy")
-    return _profiles(ens, kernels, kappa, (tau,), domain, site_stride, time_stride)[tau]
-
-
 def seminorm(
     tau: str,
     ens: TreeEnsemble,
@@ -457,15 +435,18 @@ def seminorm(
     site_stride: int = 2,
     time_stride: int = 4,
 ) -> float:
-    """Dyadic-scale seminorm of one tree: the maximum of its :func:`scale_profile`.
+    """Dyadic-scale seminorm of one tree: the largest ``lam^e * sup |...|`` over the scales.
 
-    For ``tau='1'`` this returns the time-sup of the negative-Holder proxy
-    norm at regularity -1/2-kappa.
+    Base points run over every ``site_stride``-th site and every
+    ``time_stride``-th stored time, restricted to ``domain`` (spatial box)
+    when given.  For ``tau='1'`` this returns the time-sup of the
+    negative-Holder proxy norm at regularity -1/2-kappa.
     """
     _check_kappa(kappa)
     if tau == "1":
         return holder_seminorm_one(ens, kappa, domain=domain, time_stride=time_stride)
-    return float(np.max(scale_profile(tau, ens, kernels, kappa, domain, site_stride, time_stride)))
+    profile = _profiles(ens, kernels, kappa, (tau,), domain, site_stride, time_stride)[tau]
+    return float(np.max(profile))
 
 
 @dataclass
@@ -511,6 +492,6 @@ def holder_seminorm_one(
 ) -> float:
     """``sup_t || tree1(t) ||_{C^{-1/2-kappa}}`` over the stored times."""
     alpha = -0.5 - kappa
-    norms = [holder_norm_neg(Field(ens.grid, ens.stored["1"][t]), alpha, domain)
+    norms = [holder_norm_neg(ens.stored["1"][t], ens.grid, alpha, domain)
              for t in range(0, ens.n_times, time_stride)]
     return float(np.max(norms, initial=0.0))

@@ -43,7 +43,7 @@ from .lattice import (
     sample_test_function,
     spectrum,
 )
-from .noise import NoiseIncrement, NoiseStream, coarsen
+from .noise import NoiseStream, coarsen
 from .potential import holder_norm_neg
 from .renorm import compute_c1, compute_c2
 from .trees import (
@@ -311,7 +311,7 @@ def coming_down_check(
     u = _initial_profiles(grid, magnitudes)
     for k in range(1, cfg.n_steps() + 1):
         u = step(stepper, u, stepper.noise_scale * stream.standard_normals(), k)
-    norms = {mag: holder_norm_neg(Field(grid, v), -0.5 - kappa) for mag, v in zip(magnitudes, u)}
+    norms = {mag: holder_norm_neg(v, grid, -0.5 - kappa) for mag, v in zip(magnitudes, u)}
     vals = list(norms.values())
     return {
         "norms": norms,
@@ -366,7 +366,7 @@ def volume_pair_seminorms(
     out = {}
     for tag, st in states.items():
         grid = st.prop.grid
-        ens = st.ensemble(compute_c2(grid, m2), seed)
+        ens = st.ensemble(compute_c2(grid, m2))
         kernels = DyadicKernelFamily(grid, store_dt=dt * store_every)
         out[tag] = seminorm_report(ens, kernels, kappa, domain=box)
     return out
@@ -496,7 +496,6 @@ def convergence_study(
     if levels[-1] >= n_ref:
         raise GridError("all levels must be strictly coarser than the reference")
     grid_ref = build_grid(d, L, n_ref)
-    psi = TestFunction.bump(d, center=(L / 2.0,) * d)
     alpha = -0.5 - kappa
 
     if initial is None:
@@ -509,16 +508,14 @@ def convergence_study(
                         quadratic=quadratic, integrator="imex")
     stepper_ref = _Stepper(cfg_ref, grid_ref)
     stream = NoiseStream(seed, grid_ref)
-    psi_ref = sample_test_function(psi, grid_ref)
 
-    states, steppers, psis = {}, {}, {}
+    states, steppers = {}, {}
     for n in levels:
         g = build_grid(d, L, n)
         cfg_n = SimConfig(d=d, L=L, N=n, dt=dt, t_end=t_end, seed=seed,
                           quadratic=quadratic, integrator="imex")
         steppers[n] = _Stepper(cfg_n, g)
         states[n] = project(phi0_ref, g).values
-        psis[n] = sample_test_function(psi, g)
 
     u_ref = phi0_ref.values.copy()
     n_steps = int(round(t_end / dt))
@@ -527,29 +524,26 @@ def convergence_study(
     sq_obs = {n: 0.0 for n in levels}
     n_rec = 0
     blown: set[int] = set()
-    w_ref = grid_ref.eps**d
 
     for k in range(1, n_steps + 1):
-        inc = NoiseIncrement(grid_ref, dt, stepper_ref.noise_scale * stream.standard_normals())
-        u_ref = step(stepper_ref, u_ref, inc.values, k)
+        inc = stepper_ref.noise_scale * stream.standard_normals()
+        u_ref = step(stepper_ref, u_ref, inc, k)
         for n in levels:
             if n in blown:
                 continue
             try:
-                states[n] = step(steppers[n], states[n], coarsen(inc, levels=n_ref - n).values, k)
+                states[n] = step(steppers[n], states[n], coarsen(inc, levels=n_ref - n), k)
             except BlowUpError:
                 blown.add(n)
         if k % record_every == 0 and k > burn_steps:
             n_rec += 1
-            x_ref = w_ref * float(np.sum(u_ref * psi_ref))
+            x_ref = float(stepper_ref.pairing(u_ref))
             for n in levels:
                 if n in blown:
                     continue
-                g = steppers[n].grid
-                emb = iota_refine(Field(g, states[n]), n_ref - n)
-                diff = Field(grid_ref, emb.values - u_ref)
-                sup_dist[n] = max(sup_dist[n], holder_norm_neg(diff, alpha))
-                x_n = g.eps**d * float(np.sum(states[n] * psis[n]))
+                emb = iota_refine(Field(steppers[n].grid, states[n]), n_ref - n)
+                sup_dist[n] = max(sup_dist[n], holder_norm_neg(emb.values - u_ref, grid_ref, alpha))
+                x_n = float(steppers[n].pairing(states[n]))
                 sq_obs[n] += (x_n - x_ref) ** 2
 
     rms = {n: math.sqrt(sq_obs[n] / max(n_rec, 1)) for n in levels}

@@ -164,6 +164,17 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert not (out / "manifest.json").exists()
 
+    def test_rerun_removes_unlisted_snapshots(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, MINIMAL + "snapshot_every = 5\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        cfg.write_text(MINIMAL + "snapshot_every = 10\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["files"],
+                                                                "manifest.json"])
+        assert "snapshot_00000005.snap" not in manifest["files"]
+
     def test_audit_detects_altered_file(self, tmp_path, monkeypatch, capsys):
         close = cli.OutputDir.close
 

@@ -175,7 +175,7 @@ def _covariance():
 
 def _coarsen():
     inc = NoiseStream(3, build_grid(2, 1.0, 4)).draw(0.01)
-    return {f"levels{k}": coarsen(inc, levels=k).values for k in (1, 2)}
+    return {f"levels{k}": coarsen(inc, levels=k) for k in (1, 2)}
 
 
 CASES = {

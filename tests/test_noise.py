@@ -3,8 +3,8 @@ import pytest
 from scipy import stats as sps
 
 from phi4lattice import noise
-from phi4lattice.lattice import GridError, LatticeGrid, build_grid
-from phi4lattice.noise import NoiseIncrement, NoiseStream, coarsen, draw_increment
+from phi4lattice.lattice import GridError, LatticeGrid, LinearPropagator, build_grid
+from phi4lattice.noise import NoiseStream, coarsen, draw_increment
 
 from test_trees import NegatedStream
 
@@ -12,22 +12,22 @@ from test_trees import NegatedStream
 class TestDraw:
     def test_determinism_bytes(self):
         g = build_grid(2, 1.0, 3)
-        a = NoiseStream(42, g).draw(0.01).values
-        b = NoiseStream(42, g).draw(0.01).values
+        a = NoiseStream(42, g).draw(0.01)
+        b = NoiseStream(42, g).draw(0.01)
         assert a.tobytes() == b.tobytes()
 
     def test_counter_restores_mid_stream(self):
         g = build_grid(1, 1.0, 3)
         s = NoiseStream(7, g)
-        first = [s.draw(0.1).values for _ in range(5)]
+        first = [s.draw(0.1) for _ in range(5)]
         resumed = NoiseStream(7, g, counter=3)
-        assert np.array_equal(resumed.draw(0.1).values, first[3])
+        assert np.array_equal(resumed.draw(0.1), first[3])
 
     def test_variance_d3_example(self):
         # per-site variance dt * eps^-d: dt=0.01, eps=0.5, d=3 -> 0.08
         g = LatticeGrid(3, 2.0, 1)
         s = NoiseStream(1, g)
-        draws = np.concatenate([s.draw(0.01).values.reshape(-1) for _ in range(16000)])
+        draws = np.concatenate([s.draw(0.01).reshape(-1) for _ in range(16000)])
         var = draws.var()
         se = 0.08 * np.sqrt(2.0 / len(draws))
         assert abs(var - 0.08) < 3.0 * se
@@ -35,7 +35,7 @@ class TestDraw:
     def test_variance_unit_example(self):
         g = LatticeGrid(1, 4.0, 0)  # eps = 1
         s = NoiseStream(2, g)
-        draws = np.concatenate([s.draw(1.0).values for _ in range(250000)])
+        draws = np.concatenate([s.draw(1.0) for _ in range(250000)])
         var = draws.var()
         se = 1.0 * np.sqrt(2.0 / len(draws))
         assert abs(var - 1.0) < 3.0 * se
@@ -48,8 +48,8 @@ class TestDraw:
     def test_distinct_streams_uncorrelated(self):
         g = build_grid(1, 1.0, 4)
         n = 200000 // g.n_sites
-        a = np.concatenate([NoiseStream(1, g, counter=k).draw(1.0).values for k in range(n)])
-        b = np.concatenate([NoiseStream(2, g, counter=k).draw(1.0).values for k in range(n)])
+        a = np.concatenate([NoiseStream(1, g, counter=k).draw(1.0) for k in range(n)])
+        b = np.concatenate([NoiseStream(2, g, counter=k).draw(1.0) for k in range(n)])
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 3.0 / np.sqrt(a.size)
 
@@ -58,7 +58,17 @@ class TestDraw:
         s = NoiseStream(5, g)
         t = NoiseStream(s.seed, g, stream_id=9)
         assert t.seed == 5 and t.stream_id == 9 and t.counter == 0
-        assert not np.array_equal(s.draw(0.1).values, t.draw(0.1).values)
+        assert not np.array_equal(s.draw(0.1), t.draw(0.1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_draw_matches_chain_noise(self, d):
+        # the chain drivers scale unit normals by the propagator's noise_scale; the
+        # variance tests above hold for those increments only if the two laws agree
+        g = build_grid(d, 1.0, 3)
+        dt = 0.003
+        drawn = NoiseStream(21, g, stream_id=4, counter=6).draw(dt)
+        normals = NoiseStream(21, g, stream_id=4, counter=6).standard_normals()
+        assert drawn.tobytes() == (LinearPropagator(g, 1.0, dt).noise_scale * normals).tobytes()
 
 
 class TestPrefetch:
@@ -114,16 +124,12 @@ class TestPrefetch:
 class TestCoarsen:
     def test_constant_preserved(self):
         g = build_grid(2, 1.0, 3)
-        inc = NoiseIncrement(g, 0.1, np.full(g.shape, 1.5))
-        c = coarsen(inc)
-        assert c.grid.N == g.N - 1
-        assert np.allclose(c.values, 1.5, rtol=1e-15)
+        c = coarsen(np.full(g.shape, 1.5))
+        assert c.shape == build_grid(2, 1.0, 2).shape
+        assert np.allclose(c, 1.5, rtol=1e-15)
 
     def test_two_child_mean(self):
-        g = LatticeGrid(1, 1.0, 1)
-        inc = NoiseIncrement(g, 0.1, np.array([3.0, 5.0]))
-        c = coarsen(inc)
-        assert np.array_equal(c.values, np.array([4.0]))
+        assert np.array_equal(coarsen(np.array([3.0, 5.0])), np.array([4.0]))
 
     def test_coarse_variance_law(self):
         # Var(mean of 2^d iid N(0, dt (eps/2)^-d)) = dt eps^-d
@@ -132,7 +138,7 @@ class TestCoarsen:
         s = NoiseStream(3, g)
         vals = []
         for _ in range(800):
-            vals.append(coarsen(s.draw(dt)).values.reshape(-1))
+            vals.append(coarsen(s.draw(dt)).reshape(-1))
         vals = np.concatenate(vals)
         target = dt * (2.0 ** (-3)) ** (-2)
         se = target * np.sqrt(2.0 / len(vals))
@@ -144,8 +150,8 @@ class TestCoarsen:
         dt = 0.2
         sf = NoiseStream(10, g_fine)
         sc = NoiseStream(11, g_coarse)
-        a = np.concatenate([coarsen(sf.draw(dt)).values for _ in range(12500)])
-        b = np.concatenate([sc.draw(dt).values for _ in range(12500)])
+        a = np.concatenate([coarsen(sf.draw(dt)) for _ in range(12500)])
+        b = np.concatenate([sc.draw(dt) for _ in range(12500)])
         assert sps.ks_2samp(a, b).pvalue > 0.01
 
     def test_cross_covariance_structure(self):
@@ -155,8 +161,8 @@ class TestCoarsen:
         fine, coarse = [], []
         for _ in range(40000):
             inc = s.draw(dt)
-            fine.append(inc.values)
-            coarse.append(coarsen(inc).values)
+            fine.append(inc)
+            coarse.append(coarsen(inc))
         fine = np.array(fine)
         coarse = np.array(coarse)
         n = len(fine)
@@ -170,9 +176,7 @@ class TestCoarsen:
         assert abs(non) < 3.0 * scale
 
     def test_non_nested_error(self):
-        g = LatticeGrid(1, 1.0, 1)
-        inc = NoiseIncrement(g, 0.1, np.array([1.0, 2.0]))
         with pytest.raises(GridError):
-            coarsen(inc, levels=2)
+            coarsen(np.array([1.0, 2.0]), levels=2)
         with pytest.raises(ValueError):
-            coarsen(NoiseIncrement(build_grid(1, 1.0, 3), 0.1, np.zeros(8)), levels=0)
+            coarsen(np.zeros(8), levels=0)

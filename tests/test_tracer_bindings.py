@@ -33,10 +33,10 @@ inc = noise.NoiseStream(0, lattice.build_grid(2, 1.0, 3)).draw(0.01)
 noise.coarsen(inc)
 renorm.compute_c2(lattice.build_grid(3, 1.0, 2))
 grid = lattice.build_grid(2, 1.0, 3)
-field = lattice.Field(grid, batch.values[0].repeat(2, 0).repeat(2, 1))
-trees.holder_norm_neg(field, -0.7)
-potential.sobolev_norm_sq(field, 0.6)
-trees.DyadicKernelFamily(grid, store_dt=0.01).convolve(field.values[None])
+values = batch.values[0].repeat(2, 0).repeat(2, 1)
+trees.holder_norm_neg(values, grid, -0.7)
+potential.sobolev_norm_sq(values, grid, 0.6)
+trees.DyadicKernelFamily(grid, store_dt=0.01).convolve(values[None])
 print(json.dumps({"bindings": tracer.bindings, "metrics": tracer.metrics(), "stepped": stepped}))
 """
 
