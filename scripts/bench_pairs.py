@@ -13,8 +13,10 @@ one ``--trace 1`` row per side.  Each row keeps the exit code, the machine
 stamp and the JSON result that ``bench/run.py`` prints; the summary gives the
 per-side medians and interquartile ranges of the end-to-end metrics and how many
 pairs the after side won, so a median gap can be read against each side's own
-spread.  Rows already in ``--out`` are kept, so a second call adds pairs.
-``bench/run.py`` runs unchanged, from the root of each checkout.
+spread.  Its ``src_lines`` entry gives the line count of the ``src/`` Python
+files in each checkout and their difference.  Rows already in ``--out`` are
+kept, so a second call adds pairs.  ``bench/run.py`` runs unchanged, from the
+root of each checkout.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ def bench_row(checkout: Path, workload: str, trace: int) -> dict:
     result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
     return {"workload": workload, "trace": trace, "exit_code": proc.returncode,
             "stamp": stamps[-1] if stamps else None, "result": result}
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under ``src/``, counted as ``wc -l`` does."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
 
 
 def iqr(values: list[float]) -> float:
@@ -88,6 +95,8 @@ def main(argv=None) -> int:
               for m in json.loads((args.after / "BENCHMARK.json").read_text())["end_to_end"]}
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     rows: list[dict] = json.loads(args.out.read_text())["rows"] if args.out.exists() else []
+    lines = {side: src_lines(path) for side, path in sides.items()}
+    lines["delta"] = lines["after"] - lines["before"]
 
     def record(side: str, pair: int | None, workload: str, trace: int) -> None:
         row = {"side": side, "pair": pair, **bench_row(sides[side], workload, trace)}
@@ -95,8 +104,8 @@ def main(argv=None) -> int:
         ok = row["result"] is not None and row["result"]["correct"]
         print(f"{workload} trace={trace} pair={pair} {side}: exit {row['exit_code']}, "
               f"correct {ok}", flush=True)
-        args.out.write_text(json.dumps({"rows": rows, "summary": summary(rows, better)},
-                                       indent=1) + "\n")
+        report = {"rows": rows, "summary": {**summary(rows, better), "src_lines": lines}}
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
 
     for workload in args.workloads:
         first = 1 + max((r["pair"] for r in rows if r["workload"] == workload and r["trace"] == 0),
