@@ -388,6 +388,9 @@ def _profiles(ens: TreeEnsemble, kernels: DyadicKernelFamily, kappa: float, taus
     scale's average is cut to the base sites at once.  Every kernel sums to 1, so c2 comes
     off after averaging.
     """
+    _check_kappa(kappa)
+    if "1" in taus:
+        raise ValueError("tree 1 has no kernel scale profile; its seminorm is the Holder proxy")
     grid = ens.grid
     strided = (slice(None, None, site_stride),) * grid.d
     mask = np.ones(grid.shape, bool) if domain is None else domain.mask(grid)

@@ -275,6 +275,15 @@ class TestSeminorm:
                 with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1/4\)"):
                     seminorm(tau, ens, kern, kappa)
 
+    def test_scale_profile_rejects_tree1_and_bad_kappa(self):
+        ens = small_ensemble(seed=1, n_steps=16, c2=0.0)
+        kern = DyadicKernelFamily(ens.grid, store_dt=ens.dt)
+        with pytest.raises(ValueError, match="Holder proxy"):
+            _profiles(ens, kern, 0.2, ("2", "1"))
+        for kappa in (0.0, 0.25, -0.1, 0.3):
+            with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1/4\)"):
+                _profiles(ens, kern, kappa, ("2",))
+
     def test_report_nonnegative_finite(self):
         ens = small_ensemble(seed=23, n_steps=64, c2=0.1)
         kern = DyadicKernelFamily(ens.grid, store_dt=ens.dt)
