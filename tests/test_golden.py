@@ -59,6 +59,20 @@ def _run_chain(integrator, d):
     }
 
 
+def _run_chain_records(integrator, d, N, dt, n_steps):
+    # long enough that the records fill whole blocks of the recorder and a partial last one
+    cfg = SimConfig(d=d, N=N, dt=dt, t_end=n_steps * dt, integrator=integrator, seed=13,
+                    beta=0.5, potential_n=3, burn_in=4, thinning=2)
+    res = run_chain(cfg, initial=_profile(cfg.grid(), 2.0))
+    return {
+        "steps": res.steps,
+        "pairing": res.pairing,
+        "V": res.v_obs,
+        "W": res.w_obs,
+        "c_alpha_norm": res.c_alpha_norm,
+    }
+
+
 def _batch_exact_gaussian():
     cfg = SimConfig(d=2, N=2, dt=0.1, t_end=1.0, integrator="exact_gaussian",
                     quadratic=True, seed=3)
@@ -181,6 +195,9 @@ def _coarsen():
 CASES = {
     **{f"run_chain_{i}_d{d}": (lambda i=i, d=d: _run_chain(i, d))
        for i in ("imex", "split", "explicit") for d in (1, 2)},
+    # 550 records of 32 sites, 150 records of 64 sites
+    "run_chain_records_d1": lambda: _run_chain_records("split", 1, 5, 0.001, 1104),
+    "run_chain_records_d2": lambda: _run_chain_records("imex", 2, 3, 0.002, 304),
     "batch_exact_gaussian": _batch_exact_gaussian,
     # the stats_d2_batch tilted ensemble, shortened: 8 chains, 40 steps
     "batch_split_tilted_d2": lambda: _batch_tilted("split", 2, 5, 8, 0.02, 0.3, 0.1),
