@@ -61,6 +61,10 @@ __all__ = [
 
 INTEGRATORS = ("imex", "explicit", "split", "exact_gaussian")
 
+# run_chain keeps at most this many site values of recorded fields (at least one
+# field) and computes their observables in one vectorised pass
+RECORD_BLOCK_SITES = 2**13
+
 
 class BlowUpError(RuntimeError):
     """Field left the finite range; reports the offending step index."""
@@ -297,6 +301,23 @@ class RunResult:
             )
 
 
+def _observables(stepper: _Stepper, fields: np.ndarray) -> np.ndarray:
+    """Rows pairing, V, W and the Holder norm of a ``(records, *grid.shape)`` stack.
+
+    V and W take the same numpy scalar powers as one record at a time would, so
+    every entry has the bytes of a per-record evaluation.
+    """
+    cfg, grid = stepper.cfg, stepper.grid
+    # large finite fields may overflow the quartic observables to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = stepper.pairing(fields)
+        w = sobolev_norm_sq(fields, grid, cfg.alpha)
+        c_alpha = holder_norm_neg(fields, grid, -0.5 - cfg.norm_kappa)
+        v_obs = [0.25 * cfg.beta * v**4 for v in x]
+        w_obs = [0.25 * cfg.beta * v**2 for v in w]
+    return np.array([x, v_obs, w_obs, c_alpha])
+
+
 def run_chain(
     cfg: SimConfig,
     initial: Field | None = None,
@@ -306,7 +327,9 @@ def run_chain(
 
     Resuming from a snapshot (``resume_state`` with the stored step index and
     stream counter) continues the trajectory identically to an uninterrupted
-    run.  Output count is ``floor((n_steps - burn_in) / thinning)``.
+    run.  Output count is ``floor((n_steps - burn_in) / thinning)``.  Recorded
+    fields are copied into a block of ``RECORD_BLOCK_SITES`` site values, whose
+    observables are computed together when it is full and once at the end.
     """
     grid = cfg.grid()
     stepper = _Stepper(cfg, grid)
@@ -320,10 +343,10 @@ def run_chain(
         values, k = initial.values.copy(), 0
         stream = NoiseStream(cfg.seed, grid, stream_id=cfg.stream_id)
 
-    norm_alpha = -0.5 - cfg.norm_kappa
-
     n_steps = cfg.n_steps()
-    recs: list[tuple] = []
+    steps: list[int] = []
+    obs: list[np.ndarray] = []
+    block = np.empty((max(1, RECORD_BLOCK_SITES // grid.n_sites),) + grid.shape)
     snapshots: list[tuple[int, Field]] = []
     while k < n_steps:
         k += 1
@@ -333,22 +356,23 @@ def run_chain(
         if cfg.snapshot_every and k % cfg.snapshot_every == 0:
             snapshots.append((k, Field(grid, values.copy(), k * cfg.dt)))
         if k > cfg.burn_in and (k - cfg.burn_in) % cfg.thinning == 0:
-            # large finite fields may overflow the quartic observables to inf
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = stepper.pairing(values)
-                w = np.float64(sobolev_norm_sq(values, grid, cfg.alpha))
-                recs.append((k, k * cfg.dt, float(x), float(0.25 * cfg.beta * x**4),
-                             float(0.25 * cfg.beta * w**2), holder_norm_neg(values, grid, norm_alpha)))
+            block[len(steps) % len(block)] = values
+            steps.append(k)
+            if len(steps) % len(block) == 0:
+                obs.append(_observables(stepper, block))
+    if len(steps) % len(block):
+        obs.append(_observables(stepper, block[: len(steps) % len(block)]))
 
-    arr = np.array(recs, dtype=float) if recs else np.zeros((0, 6))
+    steps_arr = np.array(steps, dtype=float)
+    pairing, v_obs, w_obs, c_alpha = np.concatenate(obs, axis=1) if obs else np.zeros((4, 0))
     return RunResult(
         cfg=cfg,
-        steps=arr[:, 0],
-        times=arr[:, 1],
-        pairing=arr[:, 2],
-        v_obs=arr[:, 3],
-        w_obs=arr[:, 4],
-        c_alpha_norm=arr[:, 5],
+        steps=steps_arr,
+        times=steps_arr * cfg.dt,
+        pairing=pairing,
+        v_obs=v_obs,
+        w_obs=w_obs,
+        c_alpha_norm=c_alpha,
         final_state=ChainState(field=Field(grid, values, k * cfg.dt), step=k, stream=stream),
         snapshots=snapshots,
     )

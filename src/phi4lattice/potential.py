@@ -98,7 +98,7 @@ class TruncatedPotential:
     __call__ = value
 
 
-def sobolev_norm_sq(values: np.ndarray, grid: LatticeGrid, alpha: float) -> float:
+def sobolev_norm_sq(values: np.ndarray, grid: LatticeGrid, alpha: float) -> float | np.ndarray:
     """Squared negative-Sobolev norm ``sum_{k != 0} |fhat(k)|^2 mu(k)^-alpha``.
 
     ``f`` is the array ``values`` on ``grid``, and ``fhat`` is the transform
@@ -106,11 +106,18 @@ def sobolev_norm_sq(values: np.ndarray, grid: LatticeGrid, alpha: float) -> floa
     f^2``), so at ``alpha = 0`` the value equals ``eps^d sum (f - mean f)^2``.  By Parseval it is evaluated as ``eps^d
     sum f * (mu^-alpha f)``, with the mode-0 multiplier set to 0.  ``phi4
     run`` records its square, times ``beta / 4``, as the W observable.
+
+    A leading batch shape passes through: one field gives a float, a stack an
+    array over the leading axes, each entry with the bytes of its own call.
     """
     sp = spectrum(grid)
     mult = np.zeros_like(sp.mu)
     np.power(sp.mu, -alpha, out=mult, where=sp.mu > 0)
-    return float(grid.eps**grid.d * np.sum(values * sp.apply(values, mult)))
+    lead = np.shape(values)[: np.ndim(values) - grid.d]
+    # one flat sum per field: summing over an axes tuple moves the last bit at d >= 2
+    prod = (values * sp.apply(values, mult)).reshape(lead + (-1,))
+    out = grid.eps**grid.d * np.sum(prod, axis=-1)
+    return out if lead else float(out)
 
 
 @functools.cache
@@ -135,7 +142,7 @@ def _block_masks(grid: LatticeGrid) -> np.ndarray:
 
 
 def holder_norm_neg(values: np.ndarray, grid: LatticeGrid, alpha: float,
-                    domain: BoxRegion | None = None) -> float:
+                    domain: BoxRegion | None = None) -> float | np.ndarray:
     """Negative-regularity Holder norm proxy: ``max_j 2^(j alpha) sup |block_j f|``.
 
     ``f`` is the array ``values`` on ``grid``; with ``domain`` the sup runs over
@@ -143,10 +150,14 @@ def holder_norm_neg(values: np.ndarray, grid: LatticeGrid, alpha: float,
     Blocks are sharp Fourier annuli ``2^(j-1) <= |k|_inf < 2^j`` (block 0 is
     the spatial mean).  This is a documented norm-equivalent proxy; it is
     used consistently on both sides of every comparison in the package.
+    A leading batch shape passes through as in :func:`sobolev_norm_sq`; a NaN
+    in one field gives NaN in that field's entry only.
     """
     masks = _block_masks(grid)
-    blocks = spectrum(grid).apply(values, masks)
+    lead = np.shape(values)[: np.ndim(values) - grid.d]
+    blocks = spectrum(grid).apply(np.expand_dims(values, -grid.d - 1), masks)
     if domain is not None:
-        blocks = blocks[:, domain.mask(grid)]
-    sups = np.max(np.abs(blocks.reshape(len(masks), -1)), axis=1)
-    return float(np.max(2.0 ** (np.arange(len(masks)) * alpha) * sups))  # NaN in values propagates
+        blocks = blocks[..., domain.mask(grid)]
+    sups = np.max(np.abs(blocks.reshape(lead + (len(masks), -1))), axis=-1)
+    out = np.max(2.0 ** (np.arange(len(masks)) * alpha) * sups, axis=-1)  # NaN in values propagates
+    return out if lead else float(out)

@@ -125,6 +125,8 @@ class _TreeState:
     and the Wick powers of the tree1 a step starts from.  tree1 and its Wick powers
     return to real space once per step, tree20 / tree30 only when stored: every
     ``store_every``-th of ``n_steps`` steps, into preallocated ``(n_stores, *shape)`` arrays.
+    Overflow is not warned about: callers check the trees for non-finite values and
+    raise, as :func:`~phi4lattice.dynamics.step` does for the chain.
     """
 
     def __init__(self, prop: LinearPropagator, c1: float, tree1: np.ndarray, n_steps: int,
@@ -146,9 +148,11 @@ class _TreeState:
         self.stored = {k: np.empty((n_steps // store_every, *tree1.shape))
                        for k in ("1", "2", "3", "20", "30")}
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _set_tree1(self, t1: np.ndarray) -> None:
         self.t1, self.t2, self.t3 = t1, t1 * t1 - self.c1, t1 * (t1 * t1 - 3.0 * self.c1)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self, eta: np.ndarray) -> None:
         """One step driven by the noise increment ``eta``: four transforms."""
         for row, source in zip(self._source, (eta, self.t2, self.t3)):
@@ -158,6 +162,7 @@ class _TreeState:
         self.hat += self._source
         self._set_tree1(self.prop.ifft(self.hat[0]))  # not in place: that would overwrite hat
 
+    @np.errstate(over="ignore", invalid="ignore")
     def store(self, k: int) -> bool:
         """Store the trees after step ``k`` if it is a storage step; say whether it was."""
         if k % self.store_every:

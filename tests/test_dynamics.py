@@ -7,6 +7,7 @@ from phi4lattice.dynamics import (
     BatchChain,
     BlowUpError,
     ChainState,
+    RECORD_BLOCK_SITES,
     SimConfig,
     _Stepper,
     run_chain,
@@ -218,11 +219,16 @@ class TestRunChain:
         assert len(res.pairing) == (100 - 20) // 7
 
     def test_resume_identical(self):
-        cfg = SimConfig(d=1, L=1.0, N=4, dt=1e-2, t_end=1.0, seed=31, snapshot_every=50)
+        cfg = SimConfig(d=1, L=1.0, N=4, dt=1e-2, t_end=10.0, seed=31, snapshot_every=50,
+                        beta=0.5)
         full = run_chain(cfg)
-        half_cfg = SimConfig(d=1, L=1.0, N=4, dt=1e-2, t_end=0.5, seed=31, snapshot_every=50)
+        half_cfg = SimConfig(d=1, L=1.0, N=4, dt=1e-2, t_end=6.0, seed=31, snapshot_every=50,
+                             beta=0.5)
         half = run_chain(half_cfg)
         snap_step, snap_field = half.snapshots[-1]
+        # the resume step falls inside the uninterrupted run's second block of records
+        block = RECORD_BLOCK_SITES // cfg.grid().n_sites
+        assert snap_step % block and block < snap_step < cfg.n_steps()
         stream = NoiseStream(31, cfg.grid())
         stream.counter = snap_step
         resumed = run_chain(
@@ -230,6 +236,10 @@ class TestRunChain:
             resume_state=ChainState(field=snap_field.copy(), step=snap_step, stream=stream),
         )
         assert resumed.final_state.field.values.tobytes() == full.final_state.field.values.tobytes()
+        for name in ("steps", "times", "pairing", "v_obs", "w_obs", "c_alpha_norm"):
+            tail = getattr(full, name)[snap_step:]
+            assert getattr(resumed, name).tobytes() == tail.tobytes(), name
+        assert resumed.steps[0] == snap_step + 1 and np.all(full.w_obs > 0)
 
     def test_time_bookkeeping(self):
         cfg = SimConfig(d=1, L=1.0, N=4, dt=0.025, t_end=0.5, seed=4)

@@ -118,6 +118,18 @@ class TestObservables:
             assert sobolev_norm_sq(f, g, alpha) == pytest.approx(
                 sobolev_norm_sq_complex(f, g.eps, alpha), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batch_equals_per_field_calls(self, d):
+        g = build_grid(d, 1.0, 3)
+        stack = np.random.default_rng(d).standard_normal((5,) + g.shape)
+        stack[2].flat[7] = np.nan
+        with np.errstate(invalid="ignore"):
+            batch = sobolev_norm_sq(stack, g, 0.6)
+            rows = [sobolev_norm_sq(row, g, 0.6) for row in stack]
+        assert batch.shape == (5,) and all(type(r) is float for r in rows)
+        assert np.isnan(batch[2]) and np.isfinite(np.delete(batch, 2)).all()
+        assert batch.tobytes() == np.array(rows).tobytes()
+
     def test_parseval_alpha_zero(self):
         g = build_grid(2, 1.0, 3)
         rng = np.random.default_rng(1)

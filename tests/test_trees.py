@@ -153,13 +153,13 @@ class TestEvolution:
         with pytest.raises(ValueError, match="unknown tree evolution mode"):
             small_ensemble(mode="euler")
 
+    @pytest.mark.filterwarnings("error")  # the blow-up error is the only report
     @pytest.mark.parametrize("mode", ["imex", "exact"])
     def test_blow_up_names_overflowing_source(self, mode):
         # tree1^3 overflows in tree30's Wick source; both modes are stable at this dt
         g = build_grid(1, 1.0, 3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError) as info:
-                evolve_trees(g, dt=0.01, n_steps=4, mode=mode, initial_tree1=np.full(g.shape, 1e120))
+        with pytest.raises(RuntimeError) as info:
+            evolve_trees(g, dt=0.01, n_steps=4, mode=mode, initial_tree1=np.full(g.shape, 1e120))
         message = str(info.value)
         assert "step 1" in message and "tree30" in message and "initial tree1" in message
         assert "dt" not in message
@@ -388,6 +388,20 @@ class TestHolderProxy:
         for alpha in (-0.7, -0.55):
             assert holder_norm_neg(f, g, alpha, box) == pytest.approx(
                 holder_norm_neg_complex(f, L, 2.0**-3, alpha, mask), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("boxed", [False, True])
+    def test_batch_equals_per_field_calls(self, d, boxed):
+        g = build_grid(d, 1.0, 3)
+        stack = np.random.default_rng(d).standard_normal((5,) + g.shape)
+        stack[2].flat[7] = np.nan
+        box = BoxRegion((-0.3,) * d, (0.45,) * d) if boxed else None
+        with np.errstate(invalid="ignore"):
+            batch = holder_norm_neg(stack, g, -0.7, box)
+            rows = [holder_norm_neg(row, g, -0.7, box) for row in stack]
+        assert batch.shape == (5,) and all(type(r) is float for r in rows)
+        assert np.isnan(batch[2]) and np.isfinite(np.delete(batch, 2)).all()
+        assert batch.tobytes() == np.array(rows).tobytes()
 
     def test_seminorm_one_is_time_sup(self):
         ens = small_ensemble(seed=29, n_steps=32, c2=0.0)
