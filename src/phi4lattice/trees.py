@@ -125,8 +125,9 @@ class _TreeState:
     and the Wick powers of the tree1 a step starts from.  tree1 and its Wick powers
     return to real space once per step, tree20 / tree30 only when stored: every
     ``store_every``-th of ``n_steps`` steps, into preallocated ``(n_stores, *shape)`` arrays.
-    Overflow is not warned about: callers check the trees for non-finite values and
-    raise, as :func:`~phi4lattice.dynamics.step` does for the chain.
+    Overflow is not warned about: a non-finite tree is reported by the blow-up check
+    of :func:`evolve_trees` or by :func:`seminorm_report`, as ``dynamics.step``
+    reports the chain's.
     """
 
     def __init__(self, prop: LinearPropagator, c1: float, tree1: np.ndarray, n_steps: int,
