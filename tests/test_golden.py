@@ -148,6 +148,20 @@ def _seminorms_wide_time():
     return out
 
 
+def _seminorms_d3_box():
+    # storage step 5e-4: 9- and 3-tap time kernels at the two coarsest scales; the box has a
+    # different extent on every axis, so each axis's base sites differ in number and place
+    grid = build_grid(3, 1.0, 3)
+    ens = evolve_trees(grid, dt=5e-4, n_steps=48, seed=9, store_every=1, noise_amplitude=0.8)
+    kernels = DyadicKernelFamily(grid, store_dt=5e-4)
+    out = {"time_points": [entry["time_points"] for entry in kernels.table()]}
+    for tag, box in (("full", None), ("box", BoxRegion((-0.3, -0.2, -0.1), (0.25, 0.4, 0.2)))):
+        for stride in (2, 1):
+            rep = seminorm_report(ens, kernels, 0.2, domain=box, site_stride=stride)
+            out.update({f"{tag}{stride}[{tau}]": v for tau, v in rep.values.items()})
+    return out
+
+
 def _bound_entries(report):
     out = {}
     for e in report.entries:
@@ -209,6 +223,7 @@ CASES = {
     "evolve_with_chain": _with_chain,
     "volume_pair": _volume_pair,
     "seminorms_wide_time": _seminorms_wide_time,
+    "seminorms_d3_box": _seminorms_d3_box,
     "apriori_d1": lambda: _apriori(1, 3),
     "apriori_d3": lambda: _apriori(3, 2),
     "apriori_localised": _apriori_localised,
