@@ -163,16 +163,25 @@ class BoxRegion:
     hi: tuple[float, ...]
 
     @functools.cache
-    def mask(self, grid: LatticeGrid) -> np.ndarray:
-        """Sites inside the box; built once per grid and read-only."""
+    def axis_sites(self, grid: LatticeGrid) -> tuple[np.ndarray, ...]:
+        """Per axis, the indices of the sites whose coordinate lies in the box's interval.
+
+        The box is the product of these sets.  Built once per grid and read-only.
+        """
         if (len(self.lo), len(self.hi)) != (grid.d, grid.d):
             raise GridError(f"a box with {len(self.lo)}-d lower and {len(self.hi)}-d upper "
                             f"bounds does not fit a {grid.d}-d grid")
-        coords = grid.to_symmetric_coords(grid.site_coords())
-        mask = np.ones(grid.shape, dtype=bool)
-        for axis in range(grid.d):
-            c = coords[..., axis]
-            mask &= (c >= self.lo[axis]) & (c <= self.hi[axis])
+        c = grid.to_symmetric_coords(grid.axis_coords())
+        sites = tuple(np.flatnonzero((c >= lo) & (c <= hi)) for lo, hi in zip(self.lo, self.hi))
+        for idx in sites:
+            idx.setflags(write=False)
+        return sites
+
+    @functools.cache
+    def mask(self, grid: LatticeGrid) -> np.ndarray:
+        """Sites inside the box, the product of :meth:`axis_sites`; once per grid, read-only."""
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[np.ix_(*self.axis_sites(grid))] = True
         mask.setflags(write=False)
         return mask
 

@@ -36,6 +36,7 @@ holds every tree's degree, leaf count, factors and base-point terms.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -280,7 +281,9 @@ class DyadicKernelFamily:
     The spatial factor is the lattice heat kernel at heat time ``lam_j^2``
     (discretely normalised: its values sum to 1 exactly), so composing two
     family members is again a heat kernel and the dyadic semigroup property
-    holds exactly in space.  The temporal factor is a C^2 bump of width
+    holds exactly in space.  Its multiplier ``exp(-u mu(k)) = prod_i exp(-u s(k_i))``
+    factorises over the axes, so the kernel is the product of one 1-d lattice heat
+    kernel per axis.  The temporal factor is a C^2 bump of width
     ``TIME_WIDTH_FACTOR * lam_j^2`` sampled on the stored time grid; below
     the storage resolution it collapses to the sharp-time kernel, keeping the
     semigroup property exact in time as well.
@@ -291,11 +294,15 @@ class DyadicKernelFamily:
     j_list: tuple[int, ...] = (1, 2, 3, 4)
 
     def __post_init__(self) -> None:
-        self._spectrum = spectrum(self.grid)
         self.scales = tuple(2.0 ** (-j) for j in self.j_list)
         self.heat_times = tuple(s**2 for s in self.scales)
-        self._multipliers = [np.exp(-u * self._spectrum.mu) for u in self.heat_times]
+        self._axis_kernels = [self._axis_kernel(u) for u in self.heat_times]
         self._time_kernels = [self._time_profile(u) for u in self.heat_times]
+
+    def _axis_kernel(self, heat_time: float) -> np.ndarray:
+        """1-d lattice heat kernel: the inverse transform of ``exp(-u s(k))`` along one axis."""
+        s = spectrum(self.grid).mu[(0,) * (self.grid.d - 1)]  # mu on the last axis alone
+        return np.fft.irfft(np.exp(-heat_time * s), self.grid.sites_per_axis)
 
     def _time_profile(self, heat_time: float) -> np.ndarray:
         width = TIME_WIDTH_FACTOR * heat_time
@@ -319,48 +326,63 @@ class DyadicKernelFamily:
         pad = self.time_pad(idx)
         return np.arange(pad, n_times - pad, time_stride)
 
-    def convolve(self, arr: np.ndarray, time_stride: int = 1) -> list[np.ndarray]:
+    def convolve(self, arr: np.ndarray, time_stride: int = 1,
+                 sites: tuple[np.ndarray, ...] | None = None) -> list[np.ndarray]:
         """Space-time kernel averages of a stored (T, *shape) trajectory, one per scale.
 
-        Scale ``i``'s average is taken at its :meth:`base_times` only.  The stored times
-        these averages read are transformed once for all scales; each scale then makes one
-        inverse transform and sums its time taps.
+        Scale ``i``'s average is taken at its :meth:`base_times` and at the sites
+        ``np.ix_(*sites)``, where ``sites`` holds one index array per axis (``None``: every
+        site).  Each axis is contracted with the rows of its 1-d kernel's circulant at the
+        wanted indices: the last axis for all scales in one product, over the stored times
+        any scale reads, then each scale's other axes over its own times.  Each scale then
+        sums its time taps.
         """
-        sp = self._spectrum
+        n, d = self.grid.sites_per_axis, self.grid.d
+        if sites is None:
+            sites = (np.arange(n),) * d
         taps = [self.base_times(i, len(arr), time_stride)[:, None]
                 + np.arange(-self.time_pad(i), self.time_pad(i) + 1) for i in range(self.n_scales)]
         read = np.unique(np.concatenate([t.ravel() for t in taps]))
-        spec = sp.fft(arr[read])
+        rows = np.concatenate([_circulant_rows(k, sites[-1]) for k in self._axis_kernels])
+        last = (arr[read].reshape(-1, n) @ rows.T).reshape(
+            len(read), *arr.shape[1:-1], self.n_scales, len(sites[-1]))
         out = []
-        for mult, weights, t in zip(self._multipliers, self._time_kernels, taps):
+        for i, (kernel, weights, t) in enumerate(zip(self._axis_kernels, self._time_kernels, taps)):
             used = np.unique(t)
-            smooth = sp.ifft(spec[np.searchsorted(read, used)] * mult)
+            smooth = last[np.searchsorted(read, used), ..., i, :]
+            for axis in range(d - 2, -1, -1):
+                smooth = _contract(smooth, _circulant_rows(kernel, sites[axis]), axis + 1)
             if len(weights) == 1:
                 out.append(smooth)
                 continue
-            rows = np.searchsorted(used, t)  # rows[:, m]: tap m of every base time
+            tap_rows = np.searchsorted(used, t)  # tap_rows[:, m]: tap m of every base time
             acc = np.zeros((len(t),) + smooth.shape[1:])
             for m, w in enumerate(weights):
-                acc += w * smooth[rows[:, m]]
+                acc += w * smooth[tap_rows[:, m]]
             out.append(acc)
         return out
 
+    def _product(self, axis_kernel: np.ndarray) -> np.ndarray:
+        """The d-dimensional kernel whose factor on every axis is ``axis_kernel``."""
+        return functools.reduce(np.multiply.outer, [axis_kernel] * self.grid.d)
+
     def spatial_kernel(self, idx: int) -> np.ndarray:
         """Real-space kernel values (sum exactly 1)."""
-        return self._spectrum.ifft(self._multipliers[idx])
+        return self._product(self._axis_kernels[idx])
 
     def semigroup_errors(self) -> list[float]:
         """Relative L1 error of phi_u * phi_v vs phi_{u+v} at adjacent scales."""
         errors = []
-        sp = self._spectrum
         for i in range(self.n_scales - 1):
             u, v = self.heat_times[i], self.heat_times[i + 1]
             tk_composed = np.convolve(self._time_kernels[i], self._time_kernels[i + 1])
             tk_target = self._time_profile(u + v)
             nt = max(len(tk_composed), len(tk_target))
-            composed = np.multiply.outer(_center_pad(tk_composed, nt),
-                                         sp.ifft(self._multipliers[i] * self._multipliers[i + 1]))
-            target = np.multiply.outer(_center_pad(tk_target, nt), sp.ifft(np.exp(-(u + v) * sp.mu)))
+            k_u, k_v = self._axis_kernels[i], self._axis_kernels[i + 1]
+            axis_composed = _circulant_rows(k_u, np.arange(len(k_u))) @ k_v  # k_u * k_v, periodic
+            composed = np.multiply.outer(_center_pad(tk_composed, nt), self._product(axis_composed))
+            target = np.multiply.outer(_center_pad(tk_target, nt),
+                                       self._product(self._axis_kernel(u + v)))
             denom = np.sum(np.abs(target))
             errors.append(float(np.sum(np.abs(composed - target)) / denom))
         return errors
@@ -378,6 +400,21 @@ class DyadicKernelFamily:
         ]
 
 
+def _circulant_rows(kernel: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of the periodic convolution by the 1-d ``kernel``.
+
+    ``out[a, y] = kernel[(idx[a] - y) % n]``: ``out @ f`` is the convolution at the sites ``idx``.
+    """
+    return kernel[(idx[:, None] - np.arange(len(kernel))) % len(kernel)]
+
+
+def _contract(x: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
+    """``sum_y rows[:, y] x[..., y, ...]`` over ``axis`` of ``x``, as one batched matrix product."""
+    lead, trail = x.shape[:axis], x.shape[axis + 1:]
+    out = rows @ x.reshape(math.prod(lead), x.shape[axis], math.prod(trail))
+    return out.reshape(*lead, len(rows), *trail)
+
+
 def _center_pad(w: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros(n)
     start = (n - len(w)) // 2
@@ -390,18 +427,17 @@ def _profiles(ens: TreeEnsemble, kernels: DyadicKernelFamily, kappa: float, taus
               time_stride: int = 4) -> dict[str, np.ndarray]:
     """Scale profiles of the trees ``taus`` (tree1 excluded) in one pass.
 
-    Every distinct series is averaged at every scale by one ``convolve`` call, and each
-    scale's average is cut to the base sites at once.  Every kernel sums to 1, so c2 comes
-    off after averaging.
+    Every distinct series is averaged at every scale by one ``convolve`` call, at the base
+    sites only: every ``site_stride``-th index of each axis that lies in ``domain``.  Every
+    kernel sums to 1, so c2 comes off after averaging.
     """
     _check_kappa(kappa)
     if "1" in taus:
         raise ValueError("tree 1 has no kernel scale profile; its seminorm is the Holder proxy")
     grid = ens.grid
-    strided = (slice(None, None, site_stride),) * grid.d
-    mask = np.ones(grid.shape, bool) if domain is None else domain.mask(grid)
-    sites = np.arange(grid.n_sites).reshape(grid.shape)[strided][mask[strided]]
-    if len(sites) == 0:
+    axes = (np.arange(grid.sites_per_axis),) * grid.d if domain is None else domain.axis_sites(grid)
+    sites = tuple(idx[idx % site_stride == 0] for idx in axes)
+    if any(len(idx) == 0 for idx in sites):
         raise ValueError("localisation domain contains no base points")
     times = [kernels.base_times(idx, ens.n_times, time_stride) for idx in range(kernels.n_scales)]
     if any(len(t) == 0 for t in times):
@@ -411,8 +447,7 @@ def _profiles(ens: TreeEnsemble, kernels: DyadicKernelFamily, kappa: float, taus
     for series in dict.fromkeys(series for tau in taus for series in
                                 (TREES[tau].factors, TREES[tau].factors[1:]) if series):
         product = functools.reduce(np.multiply, (ens.stored[name] for name in series))
-        averages[series] = [avg.reshape(len(avg), -1)[:, sites]
-                            for avg in kernels.convolve(product, time_stride)]
+        averages[series] = kernels.convolve(product, time_stride, sites)
         del product  # one product alive at a time
 
     out = {tau: np.empty(kernels.n_scales) for tau in taus}
@@ -424,7 +459,7 @@ def _profiles(ens: TreeEnsemble, kernels: DyadicKernelFamily, kappa: float, taus
                 values = values - ens.c2
             if tree.recentred:
                 first, *rest = tree.factors
-                base = ens.stored[first].reshape(ens.n_times, -1)[np.ix_(t, sites)]
+                base = ens.stored[first][np.ix_(t, *sites)]
                 values = values - (base * averages[tuple(rest)][idx] if rest else base)
             out[tau][idx] = lam ** seminorm_exponent(tau, kappa) * np.max(np.abs(values))
     return out

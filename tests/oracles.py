@@ -212,6 +212,26 @@ def _mu_full(shape: tuple[int, ...], eps: float) -> np.ndarray:
     return sum(np.meshgrid(*[mu_axis] * len(shape), indexing="ij"))
 
 
+def convolve_spectral(arr: np.ndarray, grid: LatticeGrid, heat_times, time_kernels,
+                      time_stride: int = 1) -> list[np.ndarray]:
+    """Space-time kernel averages of a stored (T, *shape) trajectory at every site, one per scale.
+
+    The spatial kernel is applied as the multiplier ``exp(-u mu(k))`` on the full complex mode
+    grid; scale ``i`` then sums its time taps at every ``time_stride``-th stored time that its
+    time kernel fully covers.
+    """
+    axes = tuple(range(1, grid.d + 1))
+    spec = np.fft.fftn(arr, axes=axes)
+    mu = _mu_full(grid.shape, grid.eps)
+    out = []
+    for u, weights in zip(heat_times, time_kernels):
+        smooth = np.fft.ifftn(spec * np.exp(-u * mu), axes=axes).real
+        pad = (len(weights) - 1) // 2
+        base = np.arange(pad, len(arr) - pad, time_stride)
+        out.append(sum(w * smooth[base + m - pad] for m, w in enumerate(weights)))
+    return out
+
+
 def holder_norm_neg_complex(values: np.ndarray, L: float, eps: float, alpha: float,
                             mask: np.ndarray | None = None) -> float:
     """Littlewood-Paley proxy ``max_j 2^(j alpha) sup |block_j f|``, one complex

@@ -264,6 +264,23 @@ class TestLocalize:
         with pytest.raises(GridError, match=rf"{len(lo)}-d lower .* 2-d grid"):
             BoxRegion(lo, hi).mask(build_grid(2, 1.0, 3))
 
+    @given(st.data(), st.integers(1, 3), st.sampled_from([1.0, 2.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_axis_sites_product_is_mask(self, data, d, L):
+        g = build_grid(d, L, 2)
+        # bounds anywhere, and bounds on a site coordinate, where the interval is closed
+        on_site = g.to_symmetric_coords(g.axis_coords()).tolist()
+        bound = st.one_of(st.floats(-0.6 * L, 0.6 * L), st.sampled_from(on_site))
+        lo = tuple(data.draw(bound) for _ in range(d))
+        hi = tuple(data.draw(bound) for _ in range(d))
+        box = BoxRegion(lo, hi)
+        product = np.zeros(g.shape, bool)
+        product[np.ix_(*box.axis_sites(g))] = True
+        coords = g.to_symmetric_coords(g.site_coords())
+        inside = np.all((coords >= np.array(lo)) & (coords <= np.array(hi)), axis=-1)
+        assert np.array_equal(product, inside)
+        assert np.array_equal(box.mask(g), inside)
+
     def test_half_torus_mask_oracle(self):
         g = build_grid(1, 1.0, 4)
         got = BoxRegion((-0.5,), (0.0,)).mask(g)

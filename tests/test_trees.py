@@ -18,7 +18,12 @@ from phi4lattice.trees import (
     seminorm_report,
 )
 
-from oracles import holder_norm_neg_complex, seminorm_brute, tree_series_real_space
+from oracles import (
+    convolve_spectral,
+    holder_norm_neg_complex,
+    seminorm_brute,
+    tree_series_real_space,
+)
 
 
 class NegatedStream(NoiseStream):
@@ -200,6 +205,25 @@ class TestKernels:
                 assert np.allclose(out, 3.25, rtol=1e-12)
 
 
+    @pytest.mark.parametrize("store_dt", [0.05, 5e-4])  # 1-tap; 9-, 3-, 1- and 1-tap
+    @pytest.mark.parametrize("L", [1.0, 2.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_convolve_matches_spectral_oracle(self, d, L, store_dt):
+        g = build_grid(d, L, 3)
+        arr = np.random.default_rng(d).standard_normal((41,) + g.shape)
+        kern = DyadicKernelFamily(g, store_dt=store_dt)
+        ref = convolve_spectral(arr, g, kern.heat_times, kern._time_kernels, time_stride=4)
+        # a different extent on every axis, every other site: each axis keeps its own indices
+        box = BoxRegion((-0.3, -0.2, -0.1)[:d], (0.25, 0.4, 0.2)[:d])
+        sites = tuple(idx[idx % 2 == 0] for idx in box.axis_sites(g))
+        assert len({len(idx) for idx in sites}) == d
+        for full, part, want in zip(kern.convolve(arr, 4), kern.convolve(arr, 4, sites), ref):
+            atol = 1e-12 * np.max(np.abs(want))
+            np.testing.assert_allclose(full, want, rtol=1e-12, atol=atol)
+            np.testing.assert_allclose(part, want[np.ix_(np.arange(len(want)), *sites)],
+                                       rtol=1e-12, atol=atol)
+
+
 class TestSeminorm:
     def test_constant_field_closed_form(self):
         g = build_grid(1, 1.0, 4)
@@ -283,6 +307,33 @@ class TestSeminorm:
         for kappa in (0.0, 0.25, -0.1, 0.3):
             with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1/4\)"):
                 _profiles(ens, kern, kappa, ("2",))
+
+    @pytest.mark.parametrize("lo, hi, stride", [
+        ((-0.5, 0.07), (0.5, 0.12), 1),  # the second interval lies between two sites
+        ((-0.5, 0.07), (0.5, 0.2), 2),  # its one site is off the stride
+    ])
+    def test_box_missing_an_axis_has_no_base_points(self, lo, hi, stride):
+        ens = small_ensemble(seed=1, n_steps=16, c2=0.0, grid=build_grid(2, 1.0, 3))
+        kern = DyadicKernelFamily(ens.grid, store_dt=ens.dt)
+        box = BoxRegion(lo, hi)
+        assert box.mask(ens.grid).any() == (stride == 2)  # the second box holds off-stride sites
+        with pytest.raises(ValueError, match="no base points"):
+            _profiles(ens, kern, 0.2, ("2",), domain=box, site_stride=stride)
+
+    @pytest.mark.parametrize("series", ["2", "20"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_report_sees_non_finite_value_outside_the_box(self, series, bad):
+        # the bad value reaches the box's base points only through the kernels' tails
+        g = build_grid(2, 2.0, 4)
+        ens = evolve_trees(g, dt=0.01, n_steps=24, seed=3, store_every=1, c2=0.1)
+        box = BoxRegion((-0.45, -0.45), (0.45, 0.45))
+        assert not box.mask(g)[20, 20]
+        kern = DyadicKernelFamily(g, store_dt=ens.dt)
+        assert all(4 in kern.base_times(i, ens.n_times, 4) for i in range(kern.n_scales))
+        ens.stored[series][4, 20, 20] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(RuntimeError, match="not finite"):
+                seminorm_report(ens, kern, 0.2, domain=box)
 
     def test_report_nonnegative_finite(self):
         ens = small_ensemble(seed=23, n_steps=64, c2=0.1)
