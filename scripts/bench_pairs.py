@@ -11,18 +11,22 @@ before side first in even pairs and second in odd ones, so a drift of the
 host's speed does not favour one side.  Every ``--traced`` workload then adds
 one ``--trace 1`` row per side.  Each row keeps the exit code, the machine
 stamp and the JSON result that ``bench/run.py`` prints; the summary gives the
-per-side medians and interquartile ranges of the end-to-end metrics and how many
-pairs the after side won, so a median gap can be read against each side's own
-spread.  Its ``src_lines`` entry gives the line count of the ``src/`` Python
-files in each checkout and their difference.  Rows already in ``--out`` are
-kept, so a second call adds pairs.  ``bench/run.py`` runs unchanged, from the
-root of each checkout.
+per-side medians and interquartile ranges of the end-to-end metrics, the median
+over pairs of the after/before ratio (``ratio_median``; on a host whose speed
+drifts it can differ from the ratio of the two medians) and how many pairs the
+after side won, so a median gap can be read against each side's own spread.
+Only pairs whose two results read ``correct`` enter these; ``incorrect_rows``
+counts the untraced rows left out.  Its ``src_lines`` entry gives the line
+count of the ``src/`` Python files in each checkout and their difference.  Rows
+already in ``--out`` are kept, so a second call adds pairs.  ``bench/run.py``
+runs unchanged, from the root of each checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -58,13 +62,18 @@ def summary(rows: list[dict], better: dict[str, str]) -> dict:
     out = {}
     for workload in sorted({r["workload"] for r in rows}):
         pairs: dict[int, dict[str, dict]] = {}
+        incorrect = 0
         for r in rows:
-            if r["workload"] == workload and r["trace"] == 0 and r["result"]:
+            if r["workload"] != workload or r["trace"] != 0:
+                continue
+            if r["result"] and r["result"]["correct"]:
                 pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
+            else:
+                incorrect += 1
         both = [p for p in pairs.values() if len(p) == 2]
         if not both:
             continue
-        table = {}
+        table: dict = {"incorrect_rows": incorrect}
         for name, direction in better.items():
             sign = 1.0 if direction == "lower" else -1.0
             before = [p["before"][name]["value"] for p in both]
@@ -72,6 +81,8 @@ def summary(rows: list[dict], better: dict[str, str]) -> dict:
             table[name] = {
                 "before_median": statistics.median(before),
                 "after_median": statistics.median(after),
+                "ratio_median": statistics.median(a / b if b else math.nan
+                                                  for a, b in zip(after, before)),
                 "before_iqr": iqr(before),
                 "after_iqr": iqr(after),
                 "after_better_pairs": sum(sign * (a - b) < 0 for a, b in zip(after, before)),
