@@ -18,9 +18,11 @@ chain when requested:
 Seminorm bookkeeping.  The kernel family is indexed by a dyadic length
 scale ``lam_j = 2^-j``; its spatial part is the lattice heat semigroup at
 heat time ``lam_j^2`` (so the family is an exact convolution semigroup in
-heat time) and its temporal part is a compactly supported C^2 profile of
-width proportional to ``lam_j^2``, which collapses to the sharp-time kernel
-below the storage resolution.  Writing ``(tau)_lam(x)`` for the kernel
+heat time) and a product of 1-d lattice heat kernels, one per axis, so kernel
+averages are taken at the base points alone, one axis at a time.  Its
+temporal part is a compactly supported C^2 profile of width proportional to
+``lam_j^2``, which collapses to the sharp-time kernel below the storage
+resolution.  Writing ``(tau)_lam(x)`` for the kernel
 average centered at the base point x, the seminorm is
 
     [tau]_kappa = sup_x sup_lam lam^(e_tau) |(tau)_lam(x) - base-point terms|
