@@ -204,8 +204,8 @@ class TestKernels:
                 assert out.shape == (16 - 2 * kern.time_pad(idx),) + g.shape
                 assert np.allclose(out, 3.25, rtol=1e-12)
 
-
-    @pytest.mark.parametrize("store_dt", [0.05, 5e-4])  # 1-tap; 9-, 3-, 1- and 1-tap
+    # storage step 0.05: every time kernel has 1 tap; 5e-4: they have 9, 3, 1 and 1
+    @pytest.mark.parametrize("store_dt", [0.05, 5e-4])
     @pytest.mark.parametrize("L", [1.0, 2.0])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_convolve_matches_spectral_oracle(self, d, L, store_dt):
