@@ -15,7 +15,12 @@ per-side medians and interquartile ranges of the end-to-end metrics, the median
 over pairs of the after/before ratio (``ratio_median``; on a host whose speed
 drifts it can differ from the ratio of the two medians) and how many pairs the
 after side won, so a median gap can be read against each side's own spread.
-Only pairs whose two results read ``correct`` enter these; ``incorrect_rows``
+Each metric also gets a ``verdict``: ``better`` when the after side won at least
+9 of 10 pairs and its median gap exceeds ``before_iqr``; ``worse`` when the after
+median is worse than the before median by more than the metric's ``bound`` from
+``BENCHMARK.json`` (relative to the before median); ``unresolved`` when either
+side's IQR, relative to its median, is wider than that bound; else
+``unchanged``.  Only pairs whose two results read ``correct`` enter these; ``incorrect_rows``
 counts the untraced rows left out.  Its ``src_lines`` entry gives the line
 count of the ``src/`` Python files in each checkout and their difference.  Rows
 already in ``--out`` are kept, so a second call adds pairs.  ``bench/run.py``
@@ -58,7 +63,24 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def summary(rows: list[dict], better: dict[str, str]) -> dict:
+def relative(x: float, scale: float) -> float:
+    return x / abs(scale) if scale else (0.0 if x == 0 else math.inf)
+
+
+def verdict(before: list[float], after: list[float], sign: float, bound: float) -> str:
+    """``better``/``worse``/``unresolved``/``unchanged``; ``sign`` is +1 when lower is better."""
+    b_med, a_med = statistics.median(before), statistics.median(after)
+    wins = sum(sign * (a - b) < 0 for a, b in zip(after, before))
+    if wins >= 0.9 * len(before) and sign * (b_med - a_med) > iqr(before):
+        return "better"
+    if relative(sign * (a_med - b_med), b_med) > bound:
+        return "worse"
+    if max(relative(iqr(before), b_med), relative(iqr(after), a_med)) > bound:
+        return "unresolved"
+    return "unchanged"
+
+
+def summary(rows: list[dict], metrics: dict[str, dict]) -> dict:
     out = {}
     for workload in sorted({r["workload"] for r in rows}):
         pairs: dict[int, dict[str, dict]] = {}
@@ -74,8 +96,8 @@ def summary(rows: list[dict], better: dict[str, str]) -> dict:
         if not both:
             continue
         table: dict = {"incorrect_rows": incorrect}
-        for name, direction in better.items():
-            sign = 1.0 if direction == "lower" else -1.0
+        for name, spec in metrics.items():
+            sign = 1.0 if spec["better"] == "lower" else -1.0
             before = [p["before"][name]["value"] for p in both]
             after = [p["after"][name]["value"] for p in both]
             table[name] = {
@@ -87,6 +109,7 @@ def summary(rows: list[dict], better: dict[str, str]) -> dict:
                 "after_iqr": iqr(after),
                 "after_better_pairs": sum(sign * (a - b) < 0 for a, b in zip(after, before)),
                 "pairs": len(both),
+                "verdict": verdict(before, after, sign, spec["bound"]),
             }
         out[workload] = table
     return out
@@ -102,8 +125,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--traced", nargs="*", choices=WORKLOADS, default=["stats_d2_batch"])
     args = ap.parse_args(argv)
-    better = {m["name"]: m["better"]
-              for m in json.loads((args.after / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {m["name"]: m
+               for m in json.loads((args.after / "BENCHMARK.json").read_text())["end_to_end"]}
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     rows: list[dict] = json.loads(args.out.read_text())["rows"] if args.out.exists() else []
     lines = {side: src_lines(path) for side, path in sides.items()}
@@ -115,7 +138,7 @@ def main(argv=None) -> int:
         ok = row["result"] is not None and row["result"]["correct"]
         print(f"{workload} trace={trace} pair={pair} {side}: exit {row['exit_code']}, "
               f"correct {ok}", flush=True)
-        report = {"rows": rows, "summary": {**summary(rows, better), "src_lines": lines}}
+        report = {"rows": rows, "summary": {**summary(rows, metrics), "src_lines": lines}}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
 
     for workload in args.workloads:

@@ -67,14 +67,20 @@ RECORD_BLOCK_SITES = 2**13
 
 
 class BlowUpError(RuntimeError):
-    """Field left the finite range; reports the offending step index."""
+    """Field left the finite range.
 
-    def __init__(self, step_index: int):
+    Reports the index ``step_index`` of the step that produced it, its end time
+    ``time``, the index ``site`` of the first non-finite value (batch axes first)
+    and ``max_abs``, the largest ``|u|`` of the values the step started from.
+    """
+
+    def __init__(self, step_index: int, time: float, site: tuple[int, ...], max_abs: float):
         super().__init__(
-            f"field blow-up at step {step_index}: values became non-finite "
+            f"field blow-up at step {step_index} (t = {time:g}): the value at site {site} "
+            f"became non-finite, from max|u| = {max_abs:.6g} before the step "
             "(the step size is too large for this configuration)"
         )
-        self.step_index = step_index
+        self.step_index, self.time, self.site, self.max_abs = step_index, time, site, max_abs
 
 
 @dataclass
@@ -169,6 +175,7 @@ class _Stepper:
         self.rc = cfg.renorm(grid)
         self.quadratic = cfg.quadratic
         self.potential = TruncatedPotential(cfg.potential_n) if cfg.beta != 0.0 else None
+        self._cell = grid.eps**grid.d
         self._shape: tuple[int, ...] | None = None
 
     def _scratch(self, shape: tuple[int, ...]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -186,16 +193,19 @@ class _Stepper:
         return sample_test_function(self.cfg.test_function(), self.grid)
 
     def pairing(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``<iota u, psi> = eps^d sum u psi_eps`` over the trailing d axes (product in ``out``)."""
-        d = self.grid.d
-        return self.grid.eps**d * np.sum(np.multiply(values, self.psi_eps, out=out),
-                                         axis=tuple(range(-d, 0)))
+        """``<iota u, psi> = eps^d sum u psi_eps`` over the trailing d axes (product in ``out``).
+
+        ``np.add.reduce`` is the reduction ``np.sum`` calls, without its wrapper.
+        """
+        return self._cell * np.add.reduce(np.multiply(values, self.psi_eps, out=out),
+                                           self.prop.axes)
 
     def _psi_term(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Tilt drift ``beta F'(<iota u, psi>) psi_eps`` into ``out``, for any leading batch shape."""
-        d = self.grid.d
         coeff = self.cfg.beta * self.potential.deriv(self.pairing(values, out=out))
-        return np.multiply(np.reshape(coeff, np.shape(coeff) + (1,) * d), self.psi_eps, out=out)
+        if np.ndim(coeff):  # one coefficient per chain, broadcast over its sites
+            coeff = coeff[(...,) + (None,) * self.grid.d]
+        return np.multiply(coeff, self.psi_eps, out=out)
 
     def explicit_drift(self, values: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         """Nonlinear drift plus the +m2 u compensation for the implicit solve, into ``out``."""
@@ -266,12 +276,15 @@ def step(stepper: _Stepper, values: np.ndarray, noise: np.ndarray, step_index: i
     ``step_index``, the index of the step being taken, on non-finite output.
     The new values go into ``out`` when given (it may be ``noise`` or
     ``values``); otherwise into a new array, and neither ``values`` nor
-    ``noise`` is written.
+    ``noise`` is written.  Every caller keeps ``values`` intact, so the error
+    reads its magnitude after the step.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = stepper.advance(values, noise, out)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(step_index)
+    if not np.isfinite(out).all():
+        site = tuple(int(i) for i in np.argwhere(~np.isfinite(out))[0])
+        raise BlowUpError(step_index, step_index * stepper.cfg.dt, site,
+                          float(np.max(np.abs(values))))
     return out
 
 

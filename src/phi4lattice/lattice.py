@@ -73,19 +73,20 @@ class LatticeGrid:
     L: float
     N: int
 
-    @property
+    # computed once per grid: cached_property writes the instance dict, not a field
+    @functools.cached_property
     def eps(self) -> float:
         return 2.0 ** (-self.N)
 
-    @property
+    @functools.cached_property
     def sites_per_axis(self) -> int:
         return round(self.L / self.eps)
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.sites_per_axis,) * self.d
 
-    @property
+    @functools.cached_property
     def n_sites(self) -> int:
         return self.sites_per_axis**self.d
 
@@ -242,29 +243,36 @@ class Spectrum:
     are the real-input ``rfftn`` / ``irfftn`` pair and multipliers live on its
     half spectrum (last axis cut to ``n // 2 + 1``), where ``mu`` holds the
     symbol of ``-laplacian``.  Transforms act on the trailing d axes (a
-    leading batch axis passes through) and look ``np.fft`` up at call time,
+    leading batch axis passes through).  Each runs the numpy n-d transform's
+    own 1-d steps (the bytes are the same), which skips its per-call argument
+    handling: the forward one ``rfft`` on the last axis, then ``fft`` in place
+    over the others in reverse order.  They look ``np.fft`` up at call time,
     so FFT hooks see every call.  Given ``out``, they write into it and make
     no temporary of the field's size.  :func:`spectrum` caches one per grid.
     """
 
     def __init__(self, grid: LatticeGrid):
         self.grid = grid
+        self.n = grid.sites_per_axis  # transform length on every axis
         self.axes = tuple(range(-grid.d, 0))
-        self.mu = mu_symbol(grid)[..., : grid.sites_per_axis // 2 + 1]
+        self.mu = mu_symbol(grid)[..., : self.n // 2 + 1]
         self.mu.setflags(write=False)  # shared by every caller of the cached spectrum
 
     def fft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.fft.rfftn(values, axes=self.axes, out=out)
+        """Forward transform, ``rfftn``'s steps: into ``out`` when given, else a new array."""
+        spec = np.fft.rfft(values, self.n, -1, out=out)
+        for axis in self.axes[-2::-1]:
+            np.fft.fft(spec, self.n, axis, out=spec)
+        return spec
 
     def ifft(self, spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse transform; with ``out`` it works in place in ``spec``, which it overwrites."""
         if out is None:
             return np.fft.irfftn(spec, self.grid.shape, self.axes)
         # irfftn's own steps, the complex ones written back into spec
-        n = self.grid.sites_per_axis
         for axis in self.axes[:-1]:
-            np.fft.ifft(spec, n, axis, out=spec)
-        return np.fft.irfft(spec, n, self.axes[-1], out=out)
+            np.fft.ifft(spec, self.n, axis, out=spec)
+        return np.fft.irfft(spec, self.n, -1, out=out)
 
     def apply(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
         """Multiply by a Fourier multiplier: ``ifft(fft(values) * mult)``."""

@@ -125,12 +125,16 @@ class _TreeState:
     ``hat = decay * hat + weight * fft(source)``, with the multipliers of ``mode``
     (``imex``: the linear-implicit solve; ``exact``: the OU transition of tree1 and
     exponential Euler for the heat integrals).  The sources are the noise increment
-    and the Wick powers of the tree1 a step starts from.  tree1 and its Wick powers
-    return to real space once per step, tree20 / tree30 only when stored: every
-    ``store_every``-th of ``n_steps`` steps, into preallocated ``(n_stores, *shape)`` arrays.
-    Overflow is not warned about: a non-finite tree is reported by the blow-up check
-    of :func:`evolve_trees` or by :func:`seminorm_report`, as ``dynamics.step``
-    reports the chain's.
+    and the Wick powers ``t1*t1 - c1``, ``(t1*t1 - 3 c1) * t1`` of the tree1 a step
+    starts from, the rows of one real stack that a step transforms in one call.
+    Every inverse works in place from a copy in a row of the spent source spectra:
+    tree1 once per step into the buffer ``t1``, tree20 / tree30 only when stored,
+    straight into their rows of the preallocated ``(n_stores, *shape)`` series, every
+    ``store_every``-th of ``n_steps`` steps.  So no step allocates a field, and ``t1``
+    is overwritten every step: a caller that keeps it must copy it.  Overflow is not
+    warned about: a non-finite tree is reported by the blow-up check of
+    :func:`evolve_trees` or by :func:`seminorm_report`, as ``dynamics.step`` reports
+    the chain's.
     """
 
     def __init__(self, prop: LinearPropagator, c1: float, tree1: np.ndarray, n_steps: int,
@@ -145,26 +149,40 @@ class _TreeState:
         self.decay, noise_weight, source_weight = weights[mode]
         self.weights = np.stack((noise_weight, source_weight, source_weight))
         self.prop, self.c1, self.store_every = prop, c1, store_every
-        self._set_tree1(tree1)
+        self.t1 = np.array(tree1, dtype=float)
+        self._real = np.empty((3, *self.t1.shape))  # increment, tree2, tree3
+        self._wick()
         self.hat = np.zeros((3, *prop.mu.shape), complex)
-        prop.fft(tree1, out=self.hat[0])
+        prop.fft(self.t1, out=self.hat[0])
         self._source = np.empty_like(self.hat)
-        self.stored = {k: np.empty((n_steps // store_every, *tree1.shape))
+        self.stored = {k: np.empty((n_steps // store_every, *self.t1.shape))
                        for k in ("1", "2", "3", "20", "30")}
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _set_tree1(self, t1: np.ndarray) -> None:
-        self.t1, self.t2, self.t3 = t1, t1 * t1 - self.c1, t1 * (t1 * t1 - 3.0 * self.c1)
+    def _wick(self) -> None:
+        """Wick powers of ``t1`` into rows 1 and 2 of the real stack."""
+        t1, t2, t3 = self.t1, self._real[1], self._real[2]
+        np.multiply(t1, t1, out=t3)
+        np.subtract(t3, self.c1, out=t2)
+        t3 -= 3.0 * self.c1
+        t3 *= t1
 
     @np.errstate(over="ignore", invalid="ignore")
     def step(self, eta: np.ndarray) -> None:
-        """One step driven by the noise increment ``eta``: four transforms."""
-        for row, source in zip(self._source, (eta, self.t2, self.t3)):
-            self.prop.fft(source, out=row)
+        """One step driven by the noise increment ``eta``: one stacked forward transform, one inverse."""
+        self._real[0] = eta
+        self.prop.fft(self._real, out=self._source)
         self._source *= self.weights
         self.hat *= self.decay
         self.hat += self._source
-        self._set_tree1(self.prop.ifft(self.hat[0]))  # not in place: that would overwrite hat
+        self._invert(0, self.t1)
+        self._wick()
+
+    def _invert(self, row: int, out: np.ndarray) -> None:
+        """Inverse transform of ``hat[row]`` into ``out``, in place in a spent source row."""
+        scratch = self._source[row]
+        scratch[...] = self.hat[row]
+        self.prop.ifft(scratch, out=out)
 
     @np.errstate(over="ignore", invalid="ignore")
     def store(self, k: int) -> bool:
@@ -172,9 +190,10 @@ class _TreeState:
         if k % self.store_every:
             return False
         i = k // self.store_every - 1
-        for key, val in (("1", self.t1), ("2", self.t2), ("3", self.t3),
-                         ("20", self.prop.ifft(self.hat[1])), ("30", self.prop.ifft(self.hat[2]))):
+        for key, val in (("1", self.t1), ("2", self._real[1]), ("3", self._real[2])):
             self.stored[key][i] = val
+        self._invert(1, self.stored["20"][i])
+        self._invert(2, self.stored["30"][i])
         return True
 
     def ensemble(self, c2: float) -> TreeEnsemble:
@@ -222,12 +241,12 @@ def evolve_trees(
 
     prop = LinearPropagator(grid, m2, dt)
     tree1 = (noise_amplitude * prop.apply(stream.standard_normals(), prop.stationary_mult)
-             if initial_tree1 is None else np.array(initial_tree1, dtype=float))
+             if initial_tree1 is None else initial_tree1)
     state = _TreeState(prop, c1, tree1, n_steps, store_every, mode)
     for k in range(1, n_steps + 1):
         state.step(noise_amplitude * prop.noise_scale * stream.standard_normals())
         for name, hat in zip(("tree20", "tree30"), state.hat[1:]):
-            if not np.all(np.isfinite(hat)):  # both modes are stable at every dt
+            if not np.isfinite(hat).all():  # both modes are stable at every dt
                 raise RuntimeError(f"sourced tree blow-up at step {k}: {name} became non-finite "
                                    "because its Wick source overflowed; the initial tree1 or "
                                    "the noise amplitude is too large")
@@ -328,26 +347,29 @@ class DyadicKernelFamily:
         pad = self.time_pad(idx)
         return np.arange(pad, n_times - pad, time_stride)
 
-    def convolve(self, arr: np.ndarray, time_stride: int = 1,
+    def convolve(self, arr: np.ndarray | tuple[np.ndarray, ...], time_stride: int = 1,
                  sites: tuple[np.ndarray, ...] | None = None) -> list[np.ndarray]:
         """Space-time kernel averages of a stored (T, *shape) trajectory, one per scale.
 
-        Scale ``i``'s average is taken at its :meth:`base_times` and at the sites
-        ``np.ix_(*sites)``, where ``sites`` holds one index array per axis (``None``: every
-        site).  Each axis is contracted with the rows of its 1-d kernel's circulant at the
+        ``arr`` may also be a tuple of such trajectories, whose pointwise product is
+        averaged: it is formed only at the stored times the averages read.  Scale ``i``'s
+        average is taken at its :meth:`base_times` and at the sites ``np.ix_(*sites)``,
+        where ``sites`` holds one index array per axis (``None``: every site).  Each axis is contracted with the rows of its 1-d kernel's circulant at the
         wanted indices: the last axis for all scales in one product, over the stored times
         any scale reads, then each scale's other axes over its own times.  Each scale then
         sums its time taps.
         """
         n, d = self.grid.sites_per_axis, self.grid.d
+        factors = (arr,) if isinstance(arr, np.ndarray) else arr
         if sites is None:
             sites = (np.arange(n),) * d
-        taps = [self.base_times(i, len(arr), time_stride)[:, None]
+        taps = [self.base_times(i, len(factors[0]), time_stride)[:, None]
                 + np.arange(-self.time_pad(i), self.time_pad(i) + 1) for i in range(self.n_scales)]
         read = np.unique(np.concatenate([t.ravel() for t in taps]))
         rows = np.concatenate([_circulant_rows(k, sites[-1]) for k in self._axis_kernels])
-        last = (arr[read].reshape(-1, n) @ rows.T).reshape(
-            len(read), *arr.shape[1:-1], self.n_scales, len(sites[-1]))
+        product = functools.reduce(np.multiply, (f[read] for f in factors))
+        last = (product.reshape(-1, n) @ rows.T).reshape(
+            len(read), *product.shape[1:-1], self.n_scales, len(sites[-1]))
         out = []
         for i, (kernel, weights, t) in enumerate(zip(self._axis_kernels, self._time_kernels, taps)):
             used = np.unique(t)
@@ -430,8 +452,9 @@ def _profiles(ens: TreeEnsemble, kernels: DyadicKernelFamily, kappa: float, taus
     """Scale profiles of the trees ``taus`` (tree1 excluded) in one pass.
 
     Every distinct series is averaged at every scale by one ``convolve`` call, at the base
-    sites only: every ``site_stride``-th index of each axis that lies in ``domain``.  Every
-    kernel sums to 1, so c2 comes off after averaging.
+    sites only: every ``site_stride``-th index of each axis that lies in ``domain``, and a
+    product series only at the stored times that call reads.  Every kernel sums to 1, so c2
+    comes off after averaging.
     """
     _check_kappa(kappa)
     if "1" in taus:
@@ -448,9 +471,8 @@ def _profiles(ens: TreeEnsemble, kernels: DyadicKernelFamily, kappa: float, taus
     averages = {}
     for series in dict.fromkeys(series for tau in taus for series in
                                 (TREES[tau].factors, TREES[tau].factors[1:]) if series):
-        product = functools.reduce(np.multiply, (ens.stored[name] for name in series))
-        averages[series] = kernels.convolve(product, time_stride, sites)
-        del product  # one product alive at a time
+        averages[series] = kernels.convolve(tuple(ens.stored[name] for name in series),
+                                            time_stride, sites)
 
     out = {tau: np.empty(kernels.n_scales) for tau in taus}
     for idx, (lam, t) in enumerate(zip(kernels.scales, times)):

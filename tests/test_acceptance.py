@@ -34,12 +34,11 @@ from phi4lattice.verify import (
     convergence_study,
     gaussian_covariance_battery,
     init_discretisation_rate,
-    linear_coupling_oracle,
     max_principle_battery,
     LacunaryFunction,
 )
 
-from oracles import GibbsQuadrature, survival_inverse_sample
+from oracles import GibbsQuadrature, linear_coupling_oracle, survival_inverse_sample
 
 
 def report(num, name, passed, detail):

@@ -115,9 +115,24 @@ class TestStep:
 
     def test_step_reports_its_index(self):
         st = drift(dt=0.5)
+        values = np.zeros((2,) + st.grid.shape)
+        values[1] = 1e200
+        values[1, 3] = -2e200
         with pytest.raises(BlowUpError) as err:
-            step(st, np.full((2,) + st.grid.shape, 1e200), np.zeros((2,) + st.grid.shape), 7)
+            step(st, values, np.zeros((2,) + st.grid.shape), 7)
         assert err.value.step_index == 7
+        assert err.value.time == 7 * 0.5
+        assert err.value.site == (1, 0)  # the transform spreads chain 1's overflow; chain 0 is finite
+        assert err.value.max_abs == 2e200
+        assert "step 7" in str(err.value) and "(1, 0)" in str(err.value)
+        # the explicit step keeps the overflow at its site
+        ex = drift(dt=1e-3, integrator="explicit")
+        values = np.zeros((3,) + ex.grid.shape)
+        values[2, 5] = 1e200
+        with pytest.raises(BlowUpError) as err:
+            step(ex, values, np.zeros_like(values), 2)
+        assert (err.value.step_index, err.value.time, err.value.site) == (2, 2e-3, (2, 5))
+        assert err.value.max_abs == 1e200 and values[2, 5] == 1e200
         u = np.ones(st.grid.shape)
         assert np.array_equal(step(st, u, np.zeros(st.grid.shape), 1),
                               st.advance(u, np.zeros(st.grid.shape)))
@@ -128,7 +143,13 @@ class TestStep:
         huge = Field(g, np.full(g.shape, 1e6))
         with pytest.raises(BlowUpError) as err:
             run_chain(cfg, initial=huge)
-        assert err.value.step_index >= 1
+        k = err.value.step_index
+        assert k >= 1 and err.value.time == k * cfg.dt
+        assert len(err.value.site) == 1 and 0 <= err.value.site[0] < g.sites_per_axis
+        # the values the failing step started from: the initial field or a finite step's output
+        assert math.isfinite(err.value.max_abs) and err.value.max_abs > 0.0
+        if k == 1:
+            assert err.value.max_abs == 1e6
 
     def test_split_survives_huge_data(self):
         cfg = SimConfig(d=1, L=1.0, N=4, dt=1e-3, t_end=0.1, seed=1, integrator="split")

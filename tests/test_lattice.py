@@ -15,6 +15,7 @@ from phi4lattice.lattice import (
     project,
     read_snapshot,
     sample_test_function,
+    spectrum,
     weighted_pairing,
     write_snapshot,
 )
@@ -109,6 +110,20 @@ class TestLaplacian:
         f = random_field(g, seed)
         total = np.sum(laplacian(f).values)
         assert abs(total) <= 1e-10 * np.max(np.abs(f.values)) * g.eps**-2
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["field", "batch"])
+    @pytest.mark.parametrize("d, N", [(1, 5), (2, 4), (3, 3)])
+    def test_forward_transform_is_rfftn_bitwise(self, d, N, lead):
+        g = build_grid(d, 1.0, N)
+        sp = spectrum(g)
+        values = np.random.default_rng(d).standard_normal(lead + g.shape)
+        want = np.fft.rfftn(values, axes=tuple(range(-d, 0)))
+        out = np.empty_like(want)
+        assert sp.fft(values, out=out) is out
+        assert sp.fft(values).tobytes() == want.tobytes()
+        assert out.tobytes() == want.tobytes()
 
 
 class TestPairings:

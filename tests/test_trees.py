@@ -140,19 +140,42 @@ class TestEvolution:
             assert np.max(np.abs(ens.stored[key] - val)) <= 1e-12 * np.max(np.abs(val)), key
 
     @pytest.mark.parametrize("mode", ["imex", "exact"])
-    def test_four_transforms_per_step_two_per_store(self, mode, monkeypatch):
+    def test_two_transforms_per_step_two_per_store(self, mode, monkeypatch):
+        # counted at the Spectrum level; a numpy transform outside those calls is a stray one
         g = build_grid(2, 1.0, 3)
         state = _TreeState(LinearPropagator(g, 1.0, 0.01), 1.0, np.ones(g.shape), 10, 5, mode)
-        calls = []
-        for name in ("rfftn", "irfftn", "ifft", "irfft"):
-            real = getattr(np.fft, name)
-            monkeypatch.setattr(np.fft, name, lambda *a, _real=real, _name=name, **kw:
-                                calls.append(_name) or _real(*a, **kw))
+        calls, stray, depth = [], [], [0]
+
+        def spectrum_call(real, name):
+            def wrapper(self, values, *args, **kwargs):
+                calls.append((name, values.shape))
+                depth[0] += 1
+                try:
+                    return real(self, values, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        def numpy_call(real, name):
+            def wrapper(*args, **kwargs):
+                if not depth[0]:
+                    stray.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(LinearPropagator, name,
+                                spectrum_call(getattr(LinearPropagator, name), name))
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, numpy_call(getattr(np.fft, name), name))
         for k in range(1, 11):
             state.step(np.zeros(g.shape))
             state.store(k)
-        assert len(calls) == 10 * 4 + 2 * 2
-        assert calls.count("rfftn") == 10 * 3
+        half = (*g.shape[:-1], g.sites_per_axis // 2 + 1)
+        assert calls.count(("fft", (3, *g.shape))) == 10  # the increment and both Wick sources
+        assert calls.count(("ifft", half)) == 10 + 2 * 2
+        assert len(calls) == 10 * 2 + 2 * 2
+        assert stray == []
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown tree evolution mode"):

@@ -15,10 +15,11 @@ from phi4lattice.verify import (
     coming_down_check,
     convergence_study,
     init_discretisation_rate,
-    linear_coupling_oracle,
     max_principle_battery,
     volume_pair_seminorms,
 )
+
+from oracles import linear_coupling_oracle
 
 
 class TestMaxPrinciple:
