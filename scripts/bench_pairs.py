@@ -20,8 +20,8 @@ Each metric also gets a ``verdict``: ``better`` when the after side won at least
 median is worse than the before median by more than the metric's ``bound`` from
 ``BENCHMARK.json`` (relative to the before median); ``unresolved`` when either
 side's IQR, relative to its median, is wider than that bound; else
-``unchanged``.  Only pairs whose two results read ``correct`` enter these; ``incorrect_rows``
-counts the untraced rows left out.  Its ``src_lines`` entry gives the line
+``unchanged``.  Only pairs whose two results read ``correct`` enter these;
+``incorrect_rows`` counts the untraced rows left out.  Its ``src_lines`` entry gives the line
 count of the ``src/`` Python files in each checkout and their difference.  Rows
 already in ``--out`` are kept, so a second call adds pairs.  ``bench/run.py``
 runs unchanged, from the root of each checkout.
