@@ -34,6 +34,7 @@ from .lattice import build_grid, read_snapshot, write_snapshot
 from .noise import NoiseStream
 from .potential import TruncatedPotential
 from .stats import (
+    DegenerateSampleError,
     SampleSet,
     density_cross_check,
     estimate_partition,
@@ -74,28 +75,33 @@ def _parse_int_list(s: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in s.replace(",", " ").split())
 
 
+# chain key -> (parser, the SimConfig field it feeds); its default is that field's
+SIM_KEYS: dict[str, tuple] = {
+    "seed": (int, "seed"),
+    "grid.d": (int, "d"),
+    "grid.L": (float, "L"),
+    "grid.N": (int, "N"),
+    "dt": (float, "dt"),
+    "t_end": (float, "t_end"),
+    "integrator": (str, "integrator"),
+    "burn_in": (int, "burn_in"),
+    "thinning": (int, "thinning"),
+    "snapshot_every": (int, "snapshot_every"),
+    "quadratic": (_parse_bool, "quadratic"),
+    "renorm.m2": (float, "m2"),
+    "renorm.c1_offset": (float, "c1_offset"),
+    "renorm.c2_offset": (float, "c2_offset"),
+    "potential.n": (_parse_n, "potential_n"),
+    "dynamics.beta": (float, "beta"),
+    "observable.alpha": (float, "alpha"),
+    "psi.radius": (float, "psi_radius"),
+    "norm.kappa": (float, "norm_kappa"),
+}
+
 # key -> (parser, default)
 CONFIG_KEYS: dict[str, tuple] = {
-    "seed": (int, 0),
-    "grid.d": (int, 1),
-    "grid.L": (float, 1.0),
-    "grid.N": (int, 4),
-    "dt": (float, 1e-3),
-    "t_end": (float, 1.0),
-    "integrator": (str, "imex"),
-    "burn_in": (int, 0),
-    "thinning": (int, 1),
-    "snapshot_every": (int, 0),
-    "quadratic": (_parse_bool, False),
-    "renorm.m2": (float, 1.0),
-    "renorm.c1_offset": (float, 0.0),
-    "renorm.c2_offset": (float, 0.0),
-    "potential.n": (_parse_n, math.inf),
-    "dynamics.beta": (float, 0.0),
+    **{key: (parser, getattr(SimConfig, name)) for key, (parser, name) in SIM_KEYS.items()},
     "observable.beta": (float, 0.1),
-    "observable.alpha": (float, 0.6),
-    "psi.radius": (float, 0.35),
-    "norm.kappa": (float, 0.2),
     "stats.n_chains": (int, 32),
     "stats.n_records": (int, 2000),
     "stats.record_stride": (int, 10),
@@ -150,28 +156,8 @@ def _validate(values: dict) -> None:
 
 
 def sim_config(values: dict, stream_id: int = 0) -> SimConfig:
-    return SimConfig(
-        d=values["grid.d"],
-        L=values["grid.L"],
-        N=values["grid.N"],
-        dt=values["dt"],
-        t_end=values["t_end"],
-        integrator=values["integrator"],
-        m2=values["renorm.m2"],
-        seed=values["seed"],
-        stream_id=stream_id,
-        burn_in=values["burn_in"],
-        thinning=values["thinning"],
-        snapshot_every=values["snapshot_every"],
-        beta=values["dynamics.beta"],
-        potential_n=values["potential.n"],
-        psi_radius=values["psi.radius"],
-        c1_offset=values["renorm.c1_offset"],
-        c2_offset=values["renorm.c2_offset"],
-        alpha=values["observable.alpha"],
-        norm_kappa=values["norm.kappa"],
-        quadratic=values["quadratic"],
-    )
+    return SimConfig(stream_id=stream_id,
+                     **{name: values[key] for key, (_, name) in SIM_KEYS.items()})
 
 
 def _sha256(path: Path) -> str:
@@ -304,59 +290,67 @@ def _collect_pairings(values: dict, beta: float, stream_id: int) -> SampleSet:
                      burn_in=values["stats.burn_steps"], thinning=values["stats.record_stride"])
 
 
+def _partition_suite(values: dict, p: TruncatedPotential, out_dir: OutputDir) -> tuple[dict, bool]:
+    samples = _collect_pairings(values, beta=0.0, stream_id=1)
+    est = estimate_partition(samples, p, values["observable.beta"])
+    return {"estimate": est.__dict__}, est.reliable
+
+
+def _tail_suite(values: dict, p: TruncatedPotential, out_dir: OutputDir) -> tuple[dict, bool]:
+    samples = _collect_pairings(values, beta=0.0, stream_id=1)
+    try:
+        fit = tail_exponent(np.abs(samples.pooled()))
+    except DegenerateSampleError as exc:
+        return {"tail": {"error": str(exc)}}, False
+    out_dir.write("survival.csv", _write_csv, ["K", "survival", "neg_log_survival"],
+                  ([f"{k_val:.17g}", f"{math.exp(logp):.17g}", f"{-logp:.17g}"]
+                   for k_val, logp in zip(fit.k_values, fit.log_survival)))
+    return {"tail": {"slope": fit.slope, "stderr": fit.stderr,
+                     "k_window": list(fit.k_window), "n_points": fit.n_points}}, True
+
+
+def _density_suite(values: dict, p: TruncatedPotential, out_dir: OutputDir) -> tuple[dict, bool]:
+    beta = values["observable.beta"]
+    psi_samples = _collect_pairings(values, beta=beta, stream_id=2)  # validates the tilt first
+    phi_samples = _collect_pairings(values, beta=0.0, stream_id=1)
+    cross = density_cross_check(phi_samples, psi_samples, np.tanh, p, beta)
+    return {"density": {
+        "a": cross.a, "se_a": cross.se_a, "b": cross.b, "se_b": cross.se_b,
+        "diff": cross.diff, "sigma": cross.sigma, "z": cross.z,
+        "ess_a": cross.ess_a, "ess_b": cross.ess_b,
+    }}, cross.z < 3.0
+
+
+def _plateau_suite(values: dict, p: TruncatedPotential, out_dir: OutputDir) -> tuple[dict, bool]:
+    samples = _collect_pairings(values, beta=0.0, stream_id=1)
+    plateau = uniform_Z_plateau(samples, values["observable.beta"], values["stats.n_list"])
+    return {"plateau": {
+        "n_list": plateau.n_list,
+        "z_hat": [e.z_hat for e in plateau.estimates],
+        "ci": [[e.ci_lo, e.ci_hi] for e in plateau.estimates],
+        "monotone_within_ci": plateau.monotone_within_ci,
+        "plateau_ratio": plateau.plateau_ratio,
+        "plateau_ok": plateau.plateau_ok,
+    }}, plateau.plateau_ok and plateau.monotone_within_ci
+
+
+# phi4 stats --suite: name -> function returning the report entries and whether they pass
+STATS_SUITES = {
+    "partition": _partition_suite,
+    "tail": _tail_suite,
+    "density": _density_suite,
+    "plateau": _plateau_suite,
+}
+
+
 def cmd_stats(args) -> int:
     values = parse_config(args.config)
     out_dir = OutputDir(args.out, values)
-    beta = values["observable.beta"]
     n = values["potential.n"]
     if n == math.inf:
         n = max(values["stats.n_list"])
-    p = TruncatedPotential(n)
-    report: dict = {"suite": args.suite}
-    ok = True
-
-    if args.suite == "partition":
-        samples = _collect_pairings(values, beta=0.0, stream_id=1)
-        est = estimate_partition(samples, p, beta)
-        report["estimate"] = est.__dict__
-        ok = est.reliable
-    elif args.suite == "plateau":
-        samples = _collect_pairings(values, beta=0.0, stream_id=1)
-        plateau = uniform_Z_plateau(samples, beta, values["stats.n_list"])
-        report["plateau"] = {
-            "n_list": plateau.n_list,
-            "z_hat": [e.z_hat for e in plateau.estimates],
-            "ci": [[e.ci_lo, e.ci_hi] for e in plateau.estimates],
-            "monotone_within_ci": plateau.monotone_within_ci,
-            "plateau_ratio": plateau.plateau_ratio,
-            "plateau_ok": plateau.plateau_ok,
-        }
-        ok = plateau.plateau_ok and plateau.monotone_within_ci
-    elif args.suite == "density":
-        psi_samples = _collect_pairings(values, beta=beta, stream_id=2)  # validates the tilt first
-        phi_samples = _collect_pairings(values, beta=0.0, stream_id=1)
-        cross = density_cross_check(phi_samples, psi_samples, np.tanh, p, beta)
-        report["density"] = {
-            "a": cross.a, "se_a": cross.se_a, "b": cross.b, "se_b": cross.se_b,
-            "diff": cross.diff, "sigma": cross.sigma, "z": cross.z,
-            "ess_a": cross.ess_a, "ess_b": cross.ess_b,
-        }
-        ok = cross.z < 3.0
-    elif args.suite == "tail":
-        samples = _collect_pairings(values, beta=0.0, stream_id=1)
-        try:
-            fit = tail_exponent(np.abs(samples.pooled()))
-            report["tail"] = {
-                "slope": fit.slope, "stderr": fit.stderr,
-                "k_window": list(fit.k_window), "n_points": fit.n_points,
-            }
-            out_dir.write("survival.csv", _write_csv, ["K", "survival", "neg_log_survival"],
-                          ([f"{k_val:.17g}", f"{math.exp(logp):.17g}", f"{-logp:.17g}"]
-                           for k_val, logp in zip(fit.k_values, fit.log_survival)))
-        except Exception as exc:
-            report["tail"] = {"error": str(exc)}
-            ok = False
-
+    entries, ok = STATS_SUITES[args.suite](values, TruncatedPotential(n), out_dir)
+    report = {"suite": args.suite, **entries}
     out_dir.write("stats.json", Path.write_text,
                   json.dumps(report, indent=2, default=float) + "\n")
     if rc := out_dir.close():
@@ -365,67 +359,78 @@ def cmd_stats(args) -> int:
     return 0 if ok else 1
 
 
+def _maxprinciple_suite(values: dict) -> tuple[dict, bool]:
+    battery = max_principle_battery(
+        d=values["grid.d"], L=values["grid.L"], N=values["grid.N"],
+        seed=values["seed"], c_max=values["verify.c_max"], dt=values["dt"],
+    )
+    return battery.as_dict(), battery.passed
+
+
+def _apriori_suite(values: dict) -> tuple[dict, bool]:
+    battery = check_apriori(
+        d=values["grid.d"], L=values["grid.L"], N=values["grid.N"],
+        dt=values["dt"], R=values["verify.R"], kappa=values["verify.kappa"],
+        seeds=tuple(range(values["verify.suite_seeds"])), c_max=values["verify.c_max"],
+    )
+    return battery.as_dict(), battery.passed
+
+
+def _apriori_local_suite(values: dict) -> tuple[dict, bool]:
+    battery = check_apriori_localised(
+        d=values["grid.d"], L=values["grid.L"], N=values["grid.N"],
+        dt=values["dt"], R=values["verify.R"], kappa=values["verify.kappa"],
+        N_box=values["verify.n_box"], psi_radius=values["psi.radius"],
+        seeds=tuple(range(values["verify.suite_seeds"])), c_max=values["verify.c_max"],
+    )
+    return battery.as_dict(), battery.passed
+
+
+def _convergence_suite(values: dict) -> tuple[dict, bool]:
+    conv = convergence_study(
+        levels=values["verify.levels"], n_ref=values["verify.n_ref"],
+        d=values["grid.d"], L=values["grid.L"], dt=values["dt"],
+        t_end=values["t_end"], seed=values["seed"], kappa=values["verify.kappa"],
+        quadratic=values["quadratic"],
+    )
+    return {
+        "levels": list(conv.levels),
+        "n_ref": conv.n_ref,
+        "sup_proxy_distance": {str(k): v for k, v in conv.sup_proxy_distance.items()},
+        "rms_observable_distance": {str(k): v for k, v in conv.rms_observable_distance.items()},
+        "blown_up": list(conv.blown_up),
+        "decreasing": conv.distances_decreasing(strict=False),
+    }, conv.distances_decreasing(strict=False) and not conv.blown_up
+
+
+def _initrate_suite(values: dict) -> tuple[dict, bool]:
+    kappa = values["verify.kappa"]
+    zeta = LacunaryFunction(alpha_prime=-0.5 - kappa / 2.0, seed=values["seed"])
+    fit = init_discretisation_rate(zeta, kappa, values["verify.kappa_bar"],
+                                   levels=values["verify.levels"])
+    return {
+        "levels": list(fit["levels"]),
+        "norms": [float(v) for v in fit["norms"]],
+        "slope": fit["slope"],
+        "reference_slope": fit["reference_slope"],
+    }, fit["slope"] >= fit["reference_slope"] - 0.1
+
+
+# phi4 verify --suite: name -> function returning the report entry and whether it passes
+VERIFY_SUITES = {
+    "maxprinciple": _maxprinciple_suite,
+    "apriori": _apriori_suite,
+    "apriori-local": _apriori_local_suite,
+    "convergence": _convergence_suite,
+    "initrate": _initrate_suite,
+}
+
+
 def cmd_verify(args) -> int:
     values = parse_config(args.config)
     out_dir = OutputDir(args.out, values)
-    kappa = values["verify.kappa"]
-    seeds = tuple(range(values["verify.suite_seeds"]))
-    report: dict = {"suite": args.suite}
-    ok = True
-
-    if args.suite == "maxprinciple":
-        battery = max_principle_battery(
-            d=values["grid.d"], L=values["grid.L"], N=values["grid.N"],
-            seed=values["seed"], c_max=values["verify.c_max"], dt=values["dt"],
-        )
-        report["report"] = battery.as_dict()
-        ok = battery.passed
-    elif args.suite == "apriori":
-        battery = check_apriori(
-            d=values["grid.d"], L=values["grid.L"], N=values["grid.N"],
-            dt=values["dt"], R=values["verify.R"], kappa=kappa,
-            seeds=seeds, c_max=values["verify.c_max"],
-        )
-        report["report"] = battery.as_dict()
-        ok = battery.passed
-    elif args.suite == "apriori-local":
-        battery = check_apriori_localised(
-            d=values["grid.d"], L=values["grid.L"], N=values["grid.N"],
-            dt=values["dt"], R=values["verify.R"], kappa=kappa,
-            N_box=values["verify.n_box"], psi_radius=values["psi.radius"],
-            seeds=seeds, c_max=values["verify.c_max"],
-        )
-        report["report"] = battery.as_dict()
-        ok = battery.passed
-    elif args.suite == "convergence":
-        conv = convergence_study(
-            levels=values["verify.levels"], n_ref=values["verify.n_ref"],
-            d=values["grid.d"], L=values["grid.L"], dt=values["dt"],
-            t_end=values["t_end"], seed=values["seed"], kappa=kappa,
-            quadratic=values["quadratic"],
-        )
-        report["report"] = {
-            "levels": list(conv.levels),
-            "n_ref": conv.n_ref,
-            "sup_proxy_distance": {str(k): v for k, v in conv.sup_proxy_distance.items()},
-            "rms_observable_distance": {str(k): v for k, v in conv.rms_observable_distance.items()},
-            "blown_up": list(conv.blown_up),
-            "decreasing": conv.distances_decreasing(strict=False),
-        }
-        ok = conv.distances_decreasing(strict=False) and not conv.blown_up
-    elif args.suite == "initrate":
-        zeta = LacunaryFunction(alpha_prime=-0.5 - kappa / 2.0, seed=values["seed"])
-        fit = init_discretisation_rate(zeta, kappa, values["verify.kappa_bar"],
-                                       levels=values["verify.levels"])
-        report["report"] = {
-            "levels": list(fit["levels"]),
-            "norms": [float(v) for v in fit["norms"]],
-            "slope": fit["slope"],
-            "reference_slope": fit["reference_slope"],
-        }
-        ok = fit["slope"] >= fit["reference_slope"] - 0.1
-
-    report["passed"] = ok
+    entry, ok = VERIFY_SUITES[args.suite](values)
+    report = {"suite": args.suite, "report": entry, "passed": ok}
     out_dir.write("verify.json", Path.write_text,
                   json.dumps(report, indent=2, default=float) + "\n")
     if rc := out_dir.close():
@@ -506,16 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--resume", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "--suite", required=True,
-        choices=["maxprinciple", "apriori", "apriori-local", "convergence", "initrate"],
-    )
+    p_verify.add_argument("--suite", required=True, choices=list(VERIFY_SUITES))
     p_verify.add_argument("--config", required=True)
     p_verify.add_argument("--out", required=True)
 
     p_stats = sub.add_parser("stats", help="run a statistics suite")
-    p_stats.add_argument("--suite", required=True,
-                         choices=["partition", "tail", "density", "plateau"])
+    p_stats.add_argument("--suite", required=True, choices=list(STATS_SUITES))
     p_stats.add_argument("--config", required=True)
     p_stats.add_argument("--out", required=True)
 

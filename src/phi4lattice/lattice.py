@@ -105,8 +105,8 @@ class LatticeGrid:
         """Map internal coordinates [0, L) to the symmetric window [-L/2, L/2)."""
         return np.mod(np.asarray(x) + self.L / 2.0, self.L) - self.L / 2.0
 
-    def zero_field(self, time: float = 0.0) -> "Field":
-        return Field(self, np.zeros(self.shape), time)
+    def zero_field(self) -> "Field":
+        return Field(self, np.zeros(self.shape))
 
     def is_refinement_of(self, coarse: "LatticeGrid") -> bool:
         return self.d == coarse.d and self.L == coarse.L and self.N >= coarse.N
@@ -393,14 +393,6 @@ class TestFunction:
 
     def fits_in_torus(self, L: float) -> bool:
         return self.radius <= L / 2.0
-
-    def integral(self, L: float, n_points: int = 512) -> float:
-        """Total integral over the torus, by tensorised midpoint quadrature."""
-        h = L / n_points
-        axis = (np.arange(n_points) + 0.5) * h
-        mesh = np.meshgrid(*([axis] * self.d), indexing="ij")
-        pts = np.stack(mesh, axis=-1).reshape(-1, self.d)
-        return float(np.sum(self(pts, L=L)) * h**self.d)
 
 
 def sample_test_function(psi: TestFunction, grid: LatticeGrid) -> np.ndarray:

@@ -88,13 +88,6 @@ class TruncatedPotential:
             out = sign * np.where(ax <= n, ax**3, np.where(ax >= n + 1.0, 0.0, blend))
         return out if out.ndim else float(out)
 
-    def derivative_sup(self, n_points: int = 100_001) -> float:
-        """Numerical sup of |F'| (attained in [0, n+1] by evenness and the plateau)."""
-        if self.n == math.inf:
-            return math.inf
-        x = np.linspace(0.0, self.n + 1.0, n_points)
-        return float(np.max(np.abs(self.deriv(x))))
-
     __call__ = value
 
 

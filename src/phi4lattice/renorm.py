@@ -99,8 +99,6 @@ class RenormConstants:
 
     c1: float
     c2: float
-    m2: float
-    grid: LatticeGrid
 
     @property
     def mass_counterterm(self) -> float:
@@ -116,4 +114,4 @@ class RenormConstants:
     ) -> "RenormConstants":
         c1 = compute_c1(grid, m2) + c1_offset
         c2 = compute_c2(grid, m2) + c2_offset if grid.d == 3 else c2_offset
-        return cls(c1=c1, c2=c2, m2=m2, grid=grid)
+        return cls(c1=c1, c2=c2)

@@ -41,17 +41,19 @@ __all__ = [
 ]
 
 MIN_RELIABLE_ESS = 100.0
+CI_LEVEL = 0.95  # coverage of the partition estimate's bootstrap interval
+MIN_EXCEED = 50  # fewest exceedances a tail-fit level may have
 
 
 class DegenerateSampleError(ValueError):
     """Raised when a sample set cannot support the requested estimate."""
 
 
-def integrated_autocorr_time(x: np.ndarray, c: float = 5.0) -> float:
+def integrated_autocorr_time(x: np.ndarray) -> float:
     """Integrated autocorrelation time with the standard windowing rule.
 
     ``tau_int(W) = 1/2 + sum_{t<=W} rho(t)`` evaluated at the smallest
-    window with ``W >= c * tau_int(W)``.
+    window with ``W >= 5 tau_int(W)``.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -70,7 +72,7 @@ def integrated_autocorr_time(x: np.ndarray, c: float = 5.0) -> float:
     tau = 0.5
     for w in range(1, n):
         tau += acf[w]
-        if w >= c * tau:
+        if w >= 5.0 * tau:
             return max(tau, 0.5)
     return max(tau, 0.5)
 
@@ -172,10 +174,8 @@ def estimate_partition(
     samples: SampleSet,
     p: TruncatedPotential,
     beta: float,
-    n_boot: int = 400,
-    level: float = 0.95,
 ) -> PartitionEstimate:
-    """Sample mean of ``exp(beta F_n(X))`` with a block-bootstrap CI.
+    """Sample mean of ``exp(beta F_n(X))`` with a 400-replicate block-bootstrap CI.
 
     ``beta`` here is the exponent coefficient of the estimator as written;
     callers comparing against a tilted *chain* must pass the doubled
@@ -196,8 +196,8 @@ def estimate_partition(
         # taper away enough autocovariance to visibly under-cover (~87% on an
         # AR(1) calibration battery), blocks of two spans restore >= 90%
         block = max(1, math.ceil(4.0 * samples.autocorr_time()))
-        reps = moving_block_bootstrap(w, np.mean, block, n_boot=n_boot, seed=samples.seed + 7)
-        lo, hi = np.quantile(reps, [(1 - level) / 2, 1 - (1 - level) / 2])
+        reps = moving_block_bootstrap(w, np.mean, block, seed=samples.seed + 7)
+        lo, hi = np.quantile(reps, [(1 - CI_LEVEL) / 2, 1 - (1 - CI_LEVEL) / 2])
     return PartitionEstimate(
         n=p.n,
         beta=beta,
@@ -249,29 +249,28 @@ def _fit_survival(ks: np.ndarray, exceed: np.ndarray, n: int, min_exceed: int) -
 def tail_exponent(
     samples: np.ndarray | SampleSet,
     k_window: tuple[float, float] | None = None,
-    min_exceed: int = 50,
     n_grid: int = 25,
 ) -> TailFit:
     """Weighted fit of ``log(-log P(X > K))`` against ``log K``.
 
     The window defaults to the empirically populated range: from the level
     where the survival is about ``exp(-1)`` up to the largest K with at
-    least ``min_exceed`` exceedances.  Refuses degenerate inputs.
+    least ``MIN_EXCEED`` exceedances.  Refuses degenerate inputs.
     """
     x = samples.pooled() if isinstance(samples, SampleSet) else np.asarray(samples, dtype=float)
     n = len(x)
-    if n < 10 * min_exceed or np.ptp(x) == 0.0:
+    if n < 10 * MIN_EXCEED or np.ptp(x) == 0.0:
         raise DegenerateSampleError("sample set too small or constant for a tail fit")
     xs = np.sort(x)
     if k_window is None:
         k_lo = xs[int(n * (1.0 - math.exp(-1.0)))]
-        k_hi = xs[n - min_exceed]
+        k_hi = xs[n - MIN_EXCEED]
         if not k_hi > k_lo > 0:
             raise DegenerateSampleError("populated tail window is empty")
         k_window = (float(k_lo), float(k_hi))
     ks = np.exp(np.linspace(math.log(k_window[0]), math.log(k_window[1]), n_grid))
     exceed = n - np.searchsorted(xs, ks, side="right")
-    return _fit_survival(ks, exceed, n, min_exceed)
+    return _fit_survival(ks, exceed, n, MIN_EXCEED)
 
 
 class TailAccumulator:
@@ -297,9 +296,11 @@ class TailAccumulator:
         below = np.cumsum(self._hist)[: len(self.k_grid)]
         return self.n_total - below
 
-    def fit(self, min_exceed: int = 50, lo_quantile: float = math.exp(-1.0)) -> TailFit:
+    def fit(self, min_exceed: int = MIN_EXCEED) -> TailFit:
+        """Fit over the grid levels with at least ``min_exceed`` exceedances and a
+        survival of at most ``exp(-1)``."""
         exceed = self.exceedances()
-        keep = (exceed >= min_exceed) & (exceed <= lo_quantile * self.n_total)
+        keep = (exceed >= min_exceed) & (exceed <= math.exp(-1.0) * self.n_total)
         if keep.sum() < 5:
             raise DegenerateSampleError("accumulated tail window is under-populated")
         return _fit_survival(self.k_grid[keep], exceed[keep], self.n_total, min_exceed)

@@ -386,30 +386,9 @@ class DyadicKernelFamily:
             out.append(acc)
         return out
 
-    def _product(self, axis_kernel: np.ndarray) -> np.ndarray:
-        """The d-dimensional kernel whose factor on every axis is ``axis_kernel``."""
-        return functools.reduce(np.multiply.outer, [axis_kernel] * self.grid.d)
-
     def spatial_kernel(self, idx: int) -> np.ndarray:
         """Real-space kernel values (sum exactly 1)."""
-        return self._product(self._axis_kernels[idx])
-
-    def semigroup_errors(self) -> list[float]:
-        """Relative L1 error of phi_u * phi_v vs phi_{u+v} at adjacent scales."""
-        errors = []
-        for i in range(self.n_scales - 1):
-            u, v = self.heat_times[i], self.heat_times[i + 1]
-            tk_composed = np.convolve(self._time_kernels[i], self._time_kernels[i + 1])
-            tk_target = self._time_profile(u + v)
-            nt = max(len(tk_composed), len(tk_target))
-            k_u, k_v = self._axis_kernels[i], self._axis_kernels[i + 1]
-            axis_composed = _circulant_rows(k_u, np.arange(len(k_u))) @ k_v  # k_u * k_v, periodic
-            composed = np.multiply.outer(_center_pad(tk_composed, nt), self._product(axis_composed))
-            target = np.multiply.outer(_center_pad(tk_target, nt),
-                                       self._product(self._axis_kernel(u + v)))
-            denom = np.sum(np.abs(target))
-            errors.append(float(np.sum(np.abs(composed - target)) / denom))
-        return errors
+        return functools.reduce(np.multiply.outer, [self._axis_kernels[idx]] * self.grid.d)
 
     def table(self) -> list[dict]:
         """Audit description of every kernel."""
@@ -437,13 +416,6 @@ def _contract(x: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
     lead, trail = x.shape[:axis], x.shape[axis + 1:]
     out = rows @ x.reshape(math.prod(lead), x.shape[axis], math.prod(trail))
     return out.reshape(*lead, len(rows), *trail)
-
-
-def _center_pad(w: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n)
-    start = (n - len(w)) // 2
-    out[start : start + len(w)] = w
-    return out
 
 
 def _profiles(ens: TreeEnsemble, kernels: DyadicKernelFamily, kappa: float, taus: tuple[str, ...],

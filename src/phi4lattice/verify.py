@@ -13,6 +13,10 @@ Suites provided:
   the torus doubles at fixed box - the volume-independence mechanism).
 * :func:`coming_down_check` - initial-condition independence of the norm at
   a fixed positive time across magnitudes 1, 1e3, 1e6.
+* :func:`volume_pair_seminorms` - localised tree seminorms on a noise-coupled
+  pair of tori of extent L and 2L.
+* :func:`gaussian_covariance_battery` - stationary covariance of the
+  quadratic test mode against its exact formula.
 * :func:`convergence_study` - coupled-noise discretisation convergence
   towards the finest level.
 * :func:`init_discretisation_rate` - decay rate of the block-averaging
@@ -41,7 +45,7 @@ from .lattice import (
 )
 from .noise import NoiseStream, coarsen
 from .potential import holder_norm_neg
-from .renorm import compute_c1, compute_c2
+from .renorm import DEFAULT_M2, compute_c1, compute_c2
 from .trees import (
     DyadicKernelFamily,
     _co_evolve,
@@ -56,6 +60,8 @@ __all__ = [
     "check_apriori",
     "check_apriori_localised",
     "coming_down_check",
+    "volume_pair_seminorms",
+    "gaussian_covariance_battery",
     "convergence_study",
     "LacunaryFunction",
     "init_discretisation_rate",
@@ -131,15 +137,14 @@ def _solve_cubic_heat(
 
 def check_max_principle(
     u0: Field,
-    g: Field | np.ndarray,
+    g: np.ndarray,
     dt: float = 1e-3,
-    t_end: float = 1.0,
     record_every: int = 4,
 ) -> dict:
-    """Largest ``|u(t,x)| / max(t^-1/2, |g|_inf^1/3)`` over a (t, x) grid."""
+    """Largest ``|u(t,x)| / max(t^-1/2, |g|_inf^1/3)`` over a (t, x) grid with ``0 < t <= 1``."""
     grid = u0.grid
-    g_values = g.values if isinstance(g, Field) else np.broadcast_to(np.asarray(g, float), grid.shape)
-    times, snaps = _solve_cubic_heat(grid, u0.values, g_values, dt, t_end, record_every)
+    g_values = np.broadcast_to(np.asarray(g, float), grid.shape)
+    times, snaps = _solve_cubic_heat(grid, u0.values, g_values, dt, 1.0, record_every)
     g_norm = float(np.max(np.abs(g_values)))
     bound = np.maximum(times ** (-0.5), g_norm ** (1.0 / 3.0))
     sup_u = np.max(np.abs(snaps), axis=tuple(range(1, snaps.ndim)))
@@ -296,9 +301,11 @@ def coming_down_check(
     t_snapshot: float,
     magnitudes: Sequence[float],
     seed: int,
-    kappa: float = 0.2,
 ) -> dict:
-    """Norm of the chain at ``t_snapshot`` per initial magnitude, all on one seed's noise."""
+    """Norm of the chain at ``t_snapshot`` per initial magnitude, all on one seed's noise.
+
+    The norm is the negative-Holder proxy of ``C^(-1/2 - kappa)`` at ``kappa = 0.2``.
+    """
     cfg = SimConfig(d=d, L=L, N=N, dt=dt, t_end=t_snapshot, integrator="split", seed=seed)
     grid = cfg.grid()
     stepper = _Stepper(cfg, grid)
@@ -306,7 +313,7 @@ def coming_down_check(
     u = _initial_profiles(grid, magnitudes)
     for k in range(1, cfg.n_steps() + 1):
         u = step(stepper, u, stepper.noise_scale * stream.standard_normals(), k)
-    norms = {mag: holder_norm_neg(v, grid, -0.5 - kappa) for mag, v in zip(magnitudes, u)}
+    norms = {mag: holder_norm_neg(v, grid, -0.7) for mag, v in zip(magnitudes, u)}
     vals = list(norms.values())
     return {
         "norms": norms,
@@ -324,7 +331,6 @@ def volume_pair_seminorms(
     kappa: float = 0.2,
     N_box: float = 0.45,
     store_every: int = 4,
-    m2: float = 1.0,
 ) -> dict:
     """Localised tree seminorms on tori of extent L and 2L, noise-coupled.
 
@@ -347,9 +353,9 @@ def volume_pair_seminorms(
     n_steps = int(round(1.0 / dt))
     states = {}
     for tag, grid, w0 in (("small", grid_s, white0[restrict]), ("large", grid_l, white0)):
-        prop = LinearPropagator(grid, m2, dt)
-        states[tag] = _TreeState(prop, compute_c1(grid, m2), prop.apply(w0, prop.stationary_mult),
-                                 n_steps, store_every, "imex")
+        prop = LinearPropagator(grid, DEFAULT_M2, dt)
+        states[tag] = _TreeState(prop, compute_c1(grid, DEFAULT_M2),
+                                 prop.apply(w0, prop.stationary_mult), n_steps, store_every, "imex")
     noise_scale = states["small"].prop.noise_scale
     for k in range(1, n_steps + 1):
         white = stream.standard_normals()
@@ -361,7 +367,7 @@ def volume_pair_seminorms(
     out = {}
     for tag, st in states.items():
         grid = st.prop.grid
-        ens = st.ensemble(compute_c2(grid, m2))
+        ens = st.ensemble(compute_c2(grid, DEFAULT_M2))
         kernels = DyadicKernelFamily(grid, store_dt=dt * store_every)
         out[tag] = seminorm_report(ens, kernels, kappa, domain=box)
     return out
@@ -371,7 +377,7 @@ def volume_pair_seminorms(
 # stationary Gaussian covariance battery (quadratic test mode)
 
 
-def lag_orbit_ids(shape: tuple[int, ...]) -> np.ndarray:
+def _lag_orbit_ids(shape: tuple[int, ...]) -> np.ndarray:
     """Group lag vectors by the exact lattice symmetries of the law.
 
     The quadratic-mode stationary covariance is invariant under per-axis
@@ -393,22 +399,20 @@ def gaussian_covariance_battery(
     n_chains: int,
     n_records: int,
     dt: float = 1.0,
-    L: float = 1.0,
-    m2: float = 1.0,
     seed: int = 0,
-    stream_id: int = 0,
 ) -> dict:
     """Stationary covariance of the quadratic test mode vs the exact formula.
 
-    Chains use per-mode exact OU transitions from a stationary start, so the
-    empirical covariance is unbiased at any dt against the exact target
-    ``ifft(eps^-d / (2 (mu + m2)))``.  Per symmetry orbit of lags the battery
-    reports the cross-chain z-score of the estimate; the effective sample
-    size uses the slowest mode's integrated autocorrelation time.
+    Chains on the unit torus with reference mass ``m2 = 1`` use per-mode exact
+    OU transitions from a stationary start, so the empirical covariance is
+    unbiased at any dt against the exact target ``ifft(eps^-d / (2 (mu + m2)))``.
+    Per symmetry orbit of lags the battery reports the cross-chain z-score of
+    the estimate; the effective sample size uses the slowest mode's integrated
+    autocorrelation time.
     """
-    grid = build_grid(d, L, N)
-    prop = LinearPropagator(grid, m2, dt)
-    stream = NoiseStream(seed, grid, stream_id=stream_id)
+    grid = build_grid(d, 1.0, N)
+    prop = LinearPropagator(grid, DEFAULT_M2, dt)
+    stream = NoiseStream(seed, grid)
     shape = (n_chains,) + grid.shape
 
     u_hat = prop.fft(stream.standard_normals(shape)) * prop.stationary_mult
@@ -420,7 +424,7 @@ def gaussian_covariance_battery(
     per_chain = prop.ifft(acc / n_records) / grid.n_sites
     exact = prop.ifft(grid.eps ** (-d) / (2.0 * prop.a))
 
-    ids = lag_orbit_ids(grid.shape)
+    ids = _lag_orbit_ids(grid.shape)
     n_orbits = ids.max() + 1
     flat = per_chain.reshape(n_chains, -1)
     ids_flat = ids.reshape(-1)
@@ -433,7 +437,7 @@ def gaussian_covariance_battery(
     mean = orbit_chain.mean(axis=0)
     se = orbit_chain.std(axis=0, ddof=1) / math.sqrt(n_chains)
     z = (mean - orbit_target) / se
-    rho0 = math.exp(-dt * m2)
+    rho0 = math.exp(-dt * DEFAULT_M2)
     tau = (1.0 + rho0) / (2.0 * (1.0 - rho0))
     return {
         "z": z,
@@ -569,7 +573,6 @@ class LacunaryFunction:
     alpha_prime: float
     n_modes: int = 10
     seed: int = 0
-    include_constant: bool = False
 
     def _components(self):
         rng = np.random.default_rng(self.seed)
@@ -580,28 +583,17 @@ class LacunaryFunction:
         freqs = 2.0**j
         return amps, freqs, phases
 
-    def value(self, y: np.ndarray) -> np.ndarray:
-        amps, freqs, phases = self._components()
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        for a, f, th in zip(amps, freqs, phases):
-            out += a * np.cos(2.0 * np.pi * f * y + th)
-        if self.include_constant:
-            out += 1.0
-        return out
-
-    def cell_averages(self, grid: LatticeGrid) -> np.ndarray:
-        """Exact box averages over the cells of a d=1 grid."""
+    def mode_cell_averages(self, grid: LatticeGrid) -> np.ndarray:
+        """Exact average of each mode ``cos(2 pi 2^j y + theta_j)`` over each cell of a
+        d=1 grid, one row per mode (amplitudes not applied)."""
         if grid.d != 1:
             raise GridError("lacunary initial data is one-dimensional")
-        amps, freqs, phases = self._components()
+        _, freqs, phases = self._components()
         edges = np.arange(grid.sites_per_axis + 1) * grid.eps
-        out = np.zeros(grid.sites_per_axis)
-        for a, f, th in zip(amps, freqs, phases):
+        out = np.empty((self.n_modes, grid.sites_per_axis))
+        for row, f, th in zip(out, freqs, phases):
             anti = np.sin(2.0 * np.pi * f * edges + th) / (2.0 * np.pi * f)
-            out += a * (anti[1:] - anti[:-1]) / grid.eps
-        if self.include_constant:
-            out += 1.0
+            row[:] = (anti[1:] - anti[:-1]) / grid.eps
         return out
 
 
@@ -635,21 +627,16 @@ def _pairing_error_norm(
     """``sup_x sup_lam sup_phi lam^(1/2+kappa) |<zeta - iota P zeta, phi_x^lam>|``.
 
     Evaluated mode by mode: the exact pairing of each cosine mode comes from
-    a dense oscillatory quadrature, the block-averaged pairing from exact
-    cell antiderivatives against the per-cell Gauss quadrature of the
-    profile.  A constant component cancels identically (the projection is
-    exact on constants), so the norm of a constant is exactly zero.
+    a dense oscillatory quadrature, the block-averaged pairing from the
+    exact cell averages (:meth:`LacunaryFunction.mode_cell_averages`) against
+    the per-cell Gauss quadrature of the profile.
     """
     amps, freqs, phases = zeta._components()
     n_cells = grid.sites_per_axis
     edges = np.arange(n_cells + 1) * grid.eps
     centers = 0.5 * (edges[1:] + edges[:-1])
     half = grid.eps / 2.0
-    # exact per-mode cell averages
-    mode_avgs = []
-    for f, th in zip(freqs, phases):
-        anti = np.sin(2.0 * np.pi * f * edges + th) / (2.0 * np.pi * f)
-        mode_avgs.append((anti[1:] - anti[:-1]) / grid.eps)
+    mode_avgs = zeta.mode_cell_averages(grid)
     profiles = _dictionary_profiles()
     lams = []
     lam = 0.5
@@ -678,13 +665,14 @@ def _pairing_error_norm(
     return best
 
 
-def profile_mode_integrals(profile: Callable, lam: float, freq: float,
-                           n_quad: int = 8192) -> tuple[float, float]:
+def profile_mode_integrals(profile: Callable, lam: float, freq: float) -> tuple[float, float]:
     """Dense quadratures ``integral profile(v) {cos, sin}(2 pi freq lam v) dv``.
 
     With these, ``<cos(2 pi freq . + phase), profile((. - x)/lam)/lam>``
-    equals ``cos(2 pi freq x + phase) I_cos - sin(...) I_sin``.
+    equals ``cos(2 pi freq x + phase) I_cos - sin(...) I_sin``.  Midpoint rule
+    on 8192 nodes.
     """
+    n_quad = 8192
     v = (np.arange(n_quad) + 0.5) / n_quad * 2.0 - 1.0
     pv = profile(v)
     dv = 2.0 / n_quad
@@ -698,9 +686,8 @@ def init_discretisation_rate(
     kappa: float,
     kappa_bar: float,
     levels: Sequence[int],
-    L: float = 1.0,
 ) -> dict:
-    """Fit the decay rate of the block-averaging error across dyadic levels.
+    """Fit the decay rate of the block-averaging error across dyadic levels of the unit torus.
 
     Requires ``kappa_bar < kappa / 2``.  Returns the per-level norms and the
     least-squares slope of ``log norm`` against ``log eps`` (the theoretical
@@ -711,7 +698,7 @@ def init_discretisation_rate(
     levels = tuple(sorted(levels))
     norms = []
     for n in levels:
-        grid = build_grid(1, L, n)
+        grid = build_grid(1, 1.0, n)
         norms.append(_pairing_error_norm(zeta, grid, kappa))
     norms_arr = np.array(norms)
     log_eps = np.array([-n * math.log(2.0) for n in levels])

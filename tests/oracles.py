@@ -3,11 +3,13 @@
 Everything here is deliberately naive (explicit loops, dense quadrature,
 finite differences) and never imports the code paths it checks beyond the
 plain data containers (the linear coupling oracle also reads the grid
-symbol and the sampled test function, which the lattice tests check).
+symbol and the sampled test function, which the lattice tests check; the
+semigroup check composes a kernel family's own kernels).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -20,6 +22,8 @@ from phi4lattice.lattice import (
     mu_symbol,
     sample_test_function,
 )
+from phi4lattice.potential import TruncatedPotential
+from phi4lattice.trees import DyadicKernelFamily, _circulant_rows
 
 
 def laplacian_loops(values: np.ndarray, eps: float) -> np.ndarray:
@@ -181,6 +185,23 @@ def truncated_potential_select(n: float, abc: tuple[float, float, float], x) -> 
     return value, deriv
 
 
+def derivative_sup(p: TruncatedPotential, n_points: int = 100_001) -> float:
+    """Numerical sup of |F'| (attained in [0, n+1] by evenness and the plateau)."""
+    if p.n == math.inf:
+        return math.inf
+    x = np.linspace(0.0, p.n + 1.0, n_points)
+    return float(np.max(np.abs(p.deriv(x))))
+
+
+def torus_integral(psi: TestFunction, L: float, n_points: int = 512) -> float:
+    """Total integral of ``psi`` over the torus, by tensorised midpoint quadrature."""
+    h = L / n_points
+    axis = (np.arange(n_points) + 0.5) * h
+    mesh = np.meshgrid(*([axis] * psi.d), indexing="ij")
+    pts = np.stack(mesh, axis=-1).reshape(-1, psi.d)
+    return float(np.sum(psi(pts, L=L)) * h**psi.d)
+
+
 def survival_inverse_sample(rng: np.random.Generator, n: int, power: float) -> np.ndarray:
     """Samples with exact survival ``P(X > K) = exp(-K^power)`` for K >= 0."""
     u = rng.uniform(size=n)
@@ -237,6 +258,34 @@ def convolve_spectral(arr: np.ndarray, grid: LatticeGrid, heat_times, time_kerne
         base = np.arange(pad, len(arr) - pad, time_stride)
         out.append(sum(w * smooth[base + m - pad] for m, w in enumerate(weights)))
     return out
+
+
+def _center_pad(w: np.ndarray, n: int) -> np.ndarray:
+    out = np.zeros(n)
+    start = (n - len(w)) // 2
+    out[start : start + len(w)] = w
+    return out
+
+
+def semigroup_errors(kern: DyadicKernelFamily) -> list[float]:
+    """Relative L1 error of phi_u * phi_v vs phi_{u+v} at adjacent scales."""
+
+    def product(axis_kernel):  # the d-dimensional kernel with this factor on every axis
+        return functools.reduce(np.multiply.outer, [axis_kernel] * kern.grid.d)
+
+    errors = []
+    for i in range(kern.n_scales - 1):
+        u, v = kern.heat_times[i], kern.heat_times[i + 1]
+        tk_composed = np.convolve(kern._time_kernels[i], kern._time_kernels[i + 1])
+        tk_target = kern._time_profile(u + v)
+        nt = max(len(tk_composed), len(tk_target))
+        k_u, k_v = kern._axis_kernels[i], kern._axis_kernels[i + 1]
+        axis_composed = _circulant_rows(k_u, np.arange(len(k_u))) @ k_v  # k_u * k_v, periodic
+        composed = np.multiply.outer(_center_pad(tk_composed, nt), product(axis_composed))
+        target = np.multiply.outer(_center_pad(tk_target, nt), product(kern._axis_kernel(u + v)))
+        denom = np.sum(np.abs(target))
+        errors.append(float(np.sum(np.abs(composed - target)) / denom))
+    return errors
 
 
 def holder_norm_neg_complex(values: np.ndarray, L: float, eps: float, alpha: float,

@@ -15,6 +15,7 @@ from phi4lattice.cli import (
     parse_config,
     sim_config,
 )
+from phi4lattice.dynamics import SimConfig
 
 
 def write_config(tmp_path, text):
@@ -41,6 +42,9 @@ class TestParseConfig:
         assert values["potential.n"] == math.inf
         cfg = sim_config(values)
         assert cfg.dt == 0.01 and cfg.N == 4
+
+    def test_chain_defaults_are_simconfig_defaults(self, tmp_path):
+        assert sim_config(parse_config(write_config(tmp_path, ""))) == SimConfig()
 
     def test_unknown_key_suggestion(self, tmp_path):
         path = write_config(tmp_path, MINIMAL + "potental.n = 3\n")
@@ -255,6 +259,26 @@ class TestSuites:
         assert rc == 0
         report = json.loads((out / "stats.json").read_text())
         assert report["plateau"]["plateau_ok"] is True
+
+    def test_stats_tail_too_small_sample(self, tmp_path):
+        cfg = write_config(tmp_path, MINIMAL + "stats.n_chains = 2\nstats.n_records = 20\n"
+                           "stats.burn_steps = 20\n")
+        out = tmp_path / "s"
+        assert main(["stats", "--suite", "tail", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error" in json.loads((out / "stats.json").read_text())["tail"]
+        assert (out / "manifest.json").exists()
+
+    def test_stats_tail_coding_error_is_no_verdict(self, tmp_path, monkeypatch, capsys):
+        def broken_fit(samples):
+            raise TypeError("broken fit")
+
+        monkeypatch.setattr(cli, "tail_exponent", broken_fit)
+        cfg = write_config(tmp_path, MINIMAL + "stats.n_chains = 2\nstats.n_records = 20\n"
+                           "stats.burn_steps = 20\n")
+        out = tmp_path / "s"
+        assert main(["stats", "--suite", "tail", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "stats failed" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_trees_suite(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL + "trees.n_steps = 100\n")

@@ -27,6 +27,18 @@ def test_submodule_imports_first(module):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_imports_without_scipy():
+    # scipy is a test dependency only: every submodule imports with it blocked
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            + "".join(f"import phi4lattice.{module}\n" for module in SUBMODULES))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_small_run_starts_no_thread():
     # importing the package and drawing below the noise prefetch size stays single-threaded
     code = ("import threading\n"

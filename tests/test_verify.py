@@ -143,9 +143,9 @@ class TestConvergence:
 
 class TestInitRate:
     def test_constant_function_exact(self):
-        zeta = LacunaryFunction(alpha_prime=-0.6, n_modes=0, seed=0, include_constant=True)
+        zeta = LacunaryFunction(alpha_prime=-0.6, n_modes=0, seed=0)
         g = build_grid(1, 1.0, 4)
-        # block averages of a constant reproduce it: the error norm vanishes
+        # block averages reproduce a constant (here 0: no modes), so the error norm vanishes
         from phi4lattice.verify import _pairing_error_norm
 
         assert _pairing_error_norm(zeta, g, kappa=0.2, n_base=8) < 1e-12
@@ -168,9 +168,11 @@ class TestInitRate:
     def test_cell_averages_match_dense_quadrature(self):
         zeta = LacunaryFunction(alpha_prime=-0.6, n_modes=5, seed=3)
         g = build_grid(1, 1.0, 5)
-        exact = zeta.cell_averages(g)
+        exact = zeta.mode_cell_averages(g)
         xs = (np.arange(g.sites_per_axis)[:, None] + (np.arange(4096)[None, :] + 0.5) / 4096) * g.eps
-        dense = zeta.value(xs).mean(axis=1)
+        _, freqs, phases = zeta._components()
+        dense = [np.cos(2.0 * np.pi * f * xs + th).mean(axis=1) for f, th in zip(freqs, phases)]
+        assert exact.shape == (5, g.sites_per_axis)
         assert np.allclose(exact, dense, atol=1e-6)
 
 
