@@ -98,7 +98,7 @@ SIM_KEYS: dict[str, tuple] = {
     "norm.kappa": (float, "norm_kappa"),
 }
 
-# key -> (parser, default)
+# key -> (parser, default) for every key: the chain keys above, then the rest
 CONFIG_KEYS: dict[str, tuple] = {
     **{key: (parser, getattr(SimConfig, name)) for key, (parser, name) in SIM_KEYS.items()},
     "observable.beta": (float, 0.1),
