@@ -42,7 +42,7 @@ from .stats import (
     tail_exponent,
     uniform_Z_plateau,
 )
-from .trees import DyadicKernelFamily, evolve_trees, seminorm_report
+from .trees import DyadicKernelFamily, evolve_trees, seminorm_report, store_times
 from .verify import (
     check_apriori,
     check_apriori_localised,
@@ -151,7 +151,7 @@ def parse_config(path) -> dict:
 def _validate(values: dict) -> None:
     try:
         sim_config(values)
-    except Exception as exc:  # any value SimConfig rejects is a config error
+    except ValueError as exc:  # any value SimConfig rejects (GridError included) is a config error
         raise ConfigError(str(exc)) from exc
 
 
@@ -443,16 +443,18 @@ def cmd_trees(args) -> int:
     values = parse_config(args.config)
     out_dir = OutputDir(args.out, values)
     grid = build_grid(values["grid.d"], values["grid.L"], values["grid.N"])
+    n_steps, store_every = values["trees.n_steps"], values["trees.store_every"]
+    kernels = DyadicKernelFamily(grid, store_dt=values["dt"] * store_every)
     ens = evolve_trees(
         grid,
         dt=values["dt"],
-        n_steps=values["trees.n_steps"],
+        n_steps=n_steps,
         m2=values["renorm.m2"],
         seed=values["seed"],
         mode=values["trees.mode"],
-        store_every=values["trees.store_every"],
+        store_every=store_every,
+        keep=kernels.read_plan(len(store_times(n_steps, store_every, values["dt"]))),
     )
-    kernels = DyadicKernelFamily(grid, store_dt=values["dt"] * values["trees.store_every"])
     kappa = values["norm.kappa"]
     report = seminorm_report(ens, kernels, kappa)
     out_dir.write("trees.csv", _write_csv, ["tau", "kappa", "domain", "seminorm", "seed"],

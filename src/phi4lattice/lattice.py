@@ -124,7 +124,9 @@ def build_grid(d: int, L: float, N: int) -> LatticeGrid:
         raise GridError(f"dyadic level must satisfy N >= 2, got {N}")
     if not (L > 0) or not math.isfinite(L):
         raise GridError(f"side length must be positive and finite, got {L}")
-    sites = L * 2.0**N
+    sites = L * 2.0**N if N < 1024 else math.inf  # 2.0**N overflows from N = 1024 on
+    if not sites <= 2**28:
+        raise GridError(f"L * 2^N = {sites:g} sites per axis exceeds the supported budget")
     if abs(sites - round(sites)) > 1e-12 or round(sites) < 1:
         raise GridError(f"L={L} is not a dyadic multiple of eps=2^-{N}")
     sites = round(sites)

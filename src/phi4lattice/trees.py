@@ -66,6 +66,8 @@ __all__ = [
 
 # temporal kernel half-width, in units of the heat time lam_j^2
 TIME_WIDTH_FACTOR = 0.01
+# every TIME_STRIDE-th stored time is a base time of the seminorms
+TIME_STRIDE = 4
 
 
 class Tree(NamedTuple):
@@ -101,9 +103,20 @@ def seminorm_exponent(tau: str, kappa: float) -> float:
     return kappa - TREES[tau].degree
 
 
+def store_times(n_steps: int, store_every: int, dt: float) -> np.ndarray:
+    """Times ``k * dt`` of the storage steps: every ``store_every``-th of ``n_steps`` steps."""
+    if store_every < 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
+    return store_every * np.arange(1, n_steps // store_every + 1) * dt
+
+
 @dataclass
 class TreeEnsemble:
-    """Stored tree trajectories on a decimated time grid over (0, t_end]."""
+    """Stored tree trajectories on a decimated time grid over (0, t_end].
+
+    ``times`` is the whole store grid; row ``r`` of every series holds stored time
+    ``kept[r]`` (default: every stored time, one row each).
+    """
 
     grid: LatticeGrid
     times: np.ndarray
@@ -112,10 +125,27 @@ class TreeEnsemble:
     c2: float
     m2: float
     stored: dict[str, np.ndarray]
+    kept: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.kept is None:
+            self.kept = np.arange(self.n_times)
 
     @property
     def n_times(self) -> int:
         return len(self.times)
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows of the series that hold the stored-time indices ``idx``."""
+        return _rows(self.kept, idx)
+
+
+def _rows(kept: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Positions of the stored-time indices ``idx`` in the sorted ``kept``; raises on any not kept."""
+    missing = np.setdiff1d(idx, kept)
+    if len(missing):
+        raise ValueError(f"stored times {missing.tolist()} were not kept")
+    return np.searchsorted(kept, idx)
 
 
 class _TreeState:
@@ -127,20 +157,24 @@ class _TreeState:
     exponential Euler for the heat integrals).  The sources are the noise increment
     and the Wick powers ``t1*t1 - c1``, ``(t1*t1 - 3 c1) * t1`` of the tree1 a step
     starts from, the rows of one real stack that a step transforms in one call.
-    Every inverse works in place from a copy in a row of the spent source spectra:
-    tree1 once per step into the buffer ``t1``, tree20 / tree30 only when stored,
-    straight into their rows of the preallocated ``(n_stores, *shape)`` series, every
-    ``store_every``-th of ``n_steps`` steps.  So no step allocates a field, and ``t1``
-    is overwritten every step: a caller that keeps it must copy it.  Overflow is not
-    warned about: a non-finite tree is reported by the blow-up check of
-    :func:`evolve_trees` or by :func:`seminorm_report`, as ``dynamics.step`` reports
-    the chain's.
+    Every ``store_every``-th of ``n_steps`` steps is a store; only the stored-time
+    indices ``keep`` (sorted; default every store) get a row of the preallocated
+    ``(len(keep), *shape)`` series.  Every inverse works in place from a copy in a row
+    of the spent source spectra: tree1 once per step into the buffer ``t1``, tree20 /
+    tree30 only at a kept store, straight into their rows.  So no step allocates a
+    field, and ``t1`` is overwritten every step: a caller that keeps it must copy it.
+    Overflow is not warned about: a non-finite tree is reported by the blow-up check
+    of :func:`evolve_trees` or by :func:`seminorm_report`, as ``dynamics.step``
+    reports the chain's.
     """
 
     def __init__(self, prop: LinearPropagator, c1: float, tree1: np.ndarray, n_steps: int,
-                 store_every: int, mode: str):
-        if store_every < 1:
-            raise ValueError(f"store_every must be >= 1, got {store_every}")
+                 store_every: int, mode: str, keep: np.ndarray | None = None):
+        self.times = store_times(n_steps, store_every, prop.dt)
+        self.kept = np.arange(len(self.times)) if keep is None else np.unique(keep)
+        if len(self.kept) and not 0 <= self.kept[0] <= self.kept[-1] < len(self.times):
+            raise ValueError(f"kept stored times must lie in [0, {len(self.times)})")
+        self._row = {int(t): r for r, t in enumerate(self.kept)}
         weights = {"imex": (prop.imex_mult, prop.imex_mult, prop.dt * prop.imex_mult),
                    "exact": (prop.ou_decay, prop.ou_noise_mult / prop.noise_scale,
                              prop.exp_euler_weight)}
@@ -155,7 +189,7 @@ class _TreeState:
         self.hat = np.zeros((3, *prop.mu.shape), complex)
         prop.fft(self.t1, out=self.hat[0])
         self._source = np.empty_like(self.hat)
-        self.stored = {k: np.empty((n_steps // store_every, *self.t1.shape))
+        self.stored = {k: np.empty((len(self.kept), *self.t1.shape))
                        for k in ("1", "2", "3", "20", "30")}
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -186,10 +220,12 @@ class _TreeState:
 
     @np.errstate(over="ignore", invalid="ignore")
     def store(self, k: int) -> bool:
-        """Store the trees after step ``k`` if it is a storage step; say whether it was."""
+        """Store the trees after step ``k`` if it is a kept store; say whether it was a store."""
         if k % self.store_every:
             return False
-        i = k // self.store_every - 1
+        i = self._row.get(k // self.store_every - 1)
+        if i is None:
+            return True
         for key, val in (("1", self.t1), ("2", self._real[1]), ("3", self._real[2])):
             self.stored[key][i] = val
         self._invert(1, self.stored["20"][i])
@@ -197,11 +233,10 @@ class _TreeState:
         return True
 
     def ensemble(self, c2: float) -> TreeEnsemble:
-        """Hand the stored series over, with their times ``k * dt``."""
+        """Hand the stored series over, with the store grid's times ``k * dt``."""
         p = self.prop
-        times = self.store_every * np.arange(1, len(self.stored["1"]) + 1) * p.dt
-        return TreeEnsemble(grid=p.grid, times=times, dt=p.dt, c1=self.c1, c2=c2, m2=p.m2,
-                            stored=self.stored)
+        return TreeEnsemble(grid=p.grid, times=self.times, dt=p.dt, c1=self.c1, c2=c2, m2=p.m2,
+                            stored=self.stored, kept=self.kept)
 
 
 def evolve_trees(
@@ -219,6 +254,7 @@ def evolve_trees(
     store_every: int = 1,
     noise_amplitude: float = 1.0,
     initial_tree1: np.ndarray | None = None,
+    keep: np.ndarray | None = None,
 ) -> TreeEnsemble:
     """Evolve the ensemble for ``n_steps`` steps of size ``dt``; store every ``store_every``-th.
 
@@ -230,7 +266,8 @@ def evolve_trees(
     modes step the trees on the half spectrum (:class:`_TreeState`).
     tree1 starts from ``initial_tree1``, else from the exact stationary linear
     field; tree20 and tree30 from zero at t = 0.  Wick powers are formed
-    exactly from c1 at every stored time.
+    exactly from c1 at every stored time.  Only the stored-time indices ``keep``
+    (default: all) are kept (:class:`_TreeState`).
     """
     if stream is None:
         stream = NoiseStream(seed, grid, stream_id=stream_id)
@@ -242,7 +279,7 @@ def evolve_trees(
     prop = LinearPropagator(grid, m2, dt)
     tree1 = (noise_amplitude * prop.apply(stream.standard_normals(), prop.stationary_mult)
              if initial_tree1 is None else initial_tree1)
-    state = _TreeState(prop, c1, tree1, n_steps, store_every, mode)
+    state = _TreeState(prop, c1, tree1, n_steps, store_every, mode, keep)
     for k in range(1, n_steps + 1):
         state.step(noise_amplitude * prop.noise_scale * stream.standard_normals())
         for name, hat in zip(("tree20", "tree30"), state.hat[1:]):
@@ -255,18 +292,21 @@ def evolve_trees(
 
 
 def _co_evolve(cfg: SimConfig, u: np.ndarray, store_every: int, noise_amplitude: float,
-               on_store: Callable[[float, np.ndarray, np.ndarray], None]) -> TreeEnsemble:
+               on_store: Callable[[float, np.ndarray, np.ndarray], None],
+               keep: np.ndarray | None = None) -> TreeEnsemble:
     """Co-evolve chain values (any leading batch shape) and the trees from one noise stream.
 
     The chains use ``cfg.integrator``; tree1 advances by the linear-implicit solve with the
-    *same* increments, so ``u - tree1`` is smooth.  ``on_store(t, u, tree1)`` sees each store.
+    *same* increments, so ``u - tree1`` is smooth.  ``on_store(t, u, tree1)`` sees each store,
+    kept or not; the ensemble holds the stored-time indices ``keep`` (default: all).
     """
     grid = cfg.grid()
     stepper = _Stepper(cfg, grid)
     stream = NoiseStream(cfg.seed, grid, stream_id=cfg.stream_id)
     prop = stepper.prop
     tree1 = noise_amplitude * prop.apply(stream.standard_normals(), prop.stationary_mult)
-    state = _TreeState(prop, compute_c1(grid, cfg.m2), tree1, cfg.n_steps(), store_every, "imex")
+    state = _TreeState(prop, compute_c1(grid, cfg.m2), tree1, cfg.n_steps(), store_every, "imex",
+                       keep)
     for k in range(1, cfg.n_steps() + 1):
         eta = noise_amplitude * stepper.noise_scale * stream.standard_normals()
         u = step(stepper, u, eta, k)
@@ -347,14 +387,33 @@ class DyadicKernelFamily:
         pad = self.time_pad(idx)
         return np.arange(pad, n_times - pad, time_stride)
 
+    def _taps(self, idx: int, n_times: int, time_stride: int) -> np.ndarray:
+        """``out[:, m]``: the stored time of tap ``m`` of the scale-``idx`` kernel at each base time."""
+        pad = self.time_pad(idx)
+        return self.base_times(idx, n_times, time_stride)[:, None] + np.arange(-pad, pad + 1)
+
+    def read_plan(self, n_times: int, time_stride: int = TIME_STRIDE) -> np.ndarray:
+        """The stored-time indices a seminorm report reads, sorted.
+
+        Every scale's time taps around its :meth:`base_times`, and tree1's Holder-proxy
+        times ``range(0, n_times, time_stride)``: an ensemble that keeps these serves
+        :func:`seminorm_report` at this ``time_stride``.
+        """
+        taps = [self._taps(i, n_times, time_stride).ravel() for i in range(self.n_scales)]
+        return np.unique(np.concatenate([np.arange(0, n_times, time_stride), *taps]))
+
     def convolve(self, arr: np.ndarray | tuple[np.ndarray, ...], time_stride: int = 1,
-                 sites: tuple[np.ndarray, ...] | None = None) -> list[np.ndarray]:
+                 sites: tuple[np.ndarray, ...] | None = None, n_times: int | None = None,
+                 kept: np.ndarray | None = None) -> list[np.ndarray]:
         """Space-time kernel averages of a stored (T, *shape) trajectory, one per scale.
 
         ``arr`` may also be a tuple of such trajectories, whose pointwise product is
-        averaged: it is formed only at the stored times the averages read.  Scale ``i``'s
-        average is taken at its :meth:`base_times` and at the sites ``np.ix_(*sites)``,
-        where ``sites`` holds one index array per axis (``None``: every site).  Each axis is contracted with the rows of its 1-d kernel's circulant at the
+        averaged: it is formed only at the stored times the averages read.  Its rows hold
+        the stored-time indices ``kept`` (default: ``0, 1, ...``) of a store grid of
+        ``n_times`` times (default: its length); reading a time not kept raises.  Scale
+        ``i``'s average is taken at its :meth:`base_times` and at the sites
+        ``np.ix_(*sites)``, where ``sites`` holds one index array per axis (``None``: every
+        site).  Each axis is contracted with the rows of its 1-d kernel's circulant at the
         wanted indices: the last axis for all scales in one product, over the stored times
         any scale reads, then each scale's other axes over its own times.  Each scale then
         sums its time taps.
@@ -363,11 +422,13 @@ class DyadicKernelFamily:
         factors = (arr,) if isinstance(arr, np.ndarray) else arr
         if sites is None:
             sites = (np.arange(n),) * d
-        taps = [self.base_times(i, len(factors[0]), time_stride)[:, None]
-                + np.arange(-self.time_pad(i), self.time_pad(i) + 1) for i in range(self.n_scales)]
+        if n_times is None:
+            n_times = len(factors[0])
+        taps = [self._taps(i, n_times, time_stride) for i in range(self.n_scales)]
         read = np.unique(np.concatenate([t.ravel() for t in taps]))
+        at = read if kept is None else _rows(kept, read)
         rows = np.concatenate([_circulant_rows(k, sites[-1]) for k in self._axis_kernels])
-        product = functools.reduce(np.multiply, (f[read] for f in factors))
+        product = functools.reduce(np.multiply, (f[at] for f in factors))
         last = (product.reshape(-1, n) @ rows.T).reshape(
             len(read), *product.shape[1:-1], self.n_scales, len(sites[-1]))
         out = []
@@ -420,7 +481,7 @@ def _contract(x: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
 
 def _profiles(ens: TreeEnsemble, kernels: DyadicKernelFamily, kappa: float, taus: tuple[str, ...],
               domain: BoxRegion | None = None, site_stride: int = 2,
-              time_stride: int = 4) -> dict[str, np.ndarray]:
+              time_stride: int = TIME_STRIDE) -> dict[str, np.ndarray]:
     """Scale profiles of the trees ``taus`` (tree1 excluded) in one pass.
 
     Every distinct series is averaged at every scale by one ``convolve`` call, at the base
@@ -444,7 +505,7 @@ def _profiles(ens: TreeEnsemble, kernels: DyadicKernelFamily, kappa: float, taus
     for series in dict.fromkeys(series for tau in taus for series in
                                 (TREES[tau].factors, TREES[tau].factors[1:]) if series):
         averages[series] = kernels.convolve(tuple(ens.stored[name] for name in series),
-                                            time_stride, sites)
+                                            time_stride, sites, ens.n_times, ens.kept)
 
     out = {tau: np.empty(kernels.n_scales) for tau in taus}
     for idx, (lam, t) in enumerate(zip(kernels.scales, times)):
@@ -455,7 +516,7 @@ def _profiles(ens: TreeEnsemble, kernels: DyadicKernelFamily, kappa: float, taus
                 values = values - ens.c2
             if tree.recentred:
                 first, *rest = tree.factors
-                base = ens.stored[first][np.ix_(t, *sites)]
+                base = ens.stored[first][np.ix_(ens.rows(t), *sites)]
                 values = values - (base * averages[tuple(rest)][idx] if rest else base)
             out[tau][idx] = lam ** seminorm_exponent(tau, kappa) * np.max(np.abs(values))
     return out
@@ -473,7 +534,7 @@ def seminorm(
     kappa: float,
     domain: BoxRegion | None = None,
     site_stride: int = 2,
-    time_stride: int = 4,
+    time_stride: int = TIME_STRIDE,
 ) -> float:
     """Dyadic-scale seminorm of one tree: the largest ``lam^e * sup |...|`` over the scales.
 
@@ -530,8 +591,8 @@ def holder_seminorm_one(
     domain: BoxRegion | None = None,
     time_stride: int = 1,
 ) -> float:
-    """``sup_t || tree1(t) ||_{C^{-1/2-kappa}}`` over the stored times."""
+    """``sup_t || tree1(t) ||_{C^{-1/2-kappa}}`` over every ``time_stride``-th stored time."""
     alpha = -0.5 - kappa
-    norms = [holder_norm_neg(ens.stored["1"][t], ens.grid, alpha, domain)
-             for t in range(0, ens.n_times, time_stride)]
+    norms = [holder_norm_neg(ens.stored["1"][r], ens.grid, alpha, domain)
+             for r in ens.rows(np.arange(0, ens.n_times, time_stride))]
     return float(np.max(norms, initial=0.0))

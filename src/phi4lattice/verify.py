@@ -51,6 +51,7 @@ from .trees import (
     _co_evolve,
     _TreeState,
     seminorm_report,
+    store_times,
 )
 
 __all__ = [
@@ -212,9 +213,14 @@ def _add_apriori_entries(report: BoundReport, cfg: SimConfig, magnitudes: Sequen
     """One entry per magnitude for one seed, from one tree ensemble and one report.
 
     The chains of all magnitudes step as one batch on the seed's noise, taking
-    ``sup |u - tree1|`` over ``t >= R^2`` as they go.
+    ``sup |u - tree1|`` over ``t >= R^2`` at every store as they go; the trees keep
+    only the stored times the seminorm report reads.
     """
     grid = cfg.grid()
+    times = store_times(cfg.n_steps(), store_every, cfg.dt)
+    if not np.any(times >= R**2):
+        raise ValueError(f"no stored time lies in the window t >= R^2 = {R**2}")
+    kernels = DyadicKernelFamily(grid, store_dt=cfg.dt * store_every)
     mask = np.ones(grid.shape, bool) if domain_lhs is None else domain_lhs.mask(grid)
     lhs = np.zeros(len(magnitudes))
 
@@ -222,10 +228,8 @@ def _add_apriori_entries(report: BoundReport, cfg: SimConfig, magnitudes: Sequen
         if t >= R**2:
             np.maximum(lhs, np.max(np.abs(u - tree1)[:, mask], axis=1), out=lhs)
 
-    ens = _co_evolve(cfg, _initial_profiles(grid, magnitudes), store_every, 1.0, sup_remainder)
-    if not np.any(ens.times >= R**2):
-        raise ValueError(f"no stored time lies in the window t >= R^2 = {R**2}")
-    kernels = DyadicKernelFamily(grid, store_dt=cfg.dt * store_every)
+    ens = _co_evolve(cfg, _initial_profiles(grid, magnitudes), store_every, 1.0, sup_remainder,
+                     kernels.read_plan(len(times)))
     semi = seminorm_report(ens, kernels, kappa, domain=domain_semi)
     rhs = max(1.0 / R, max(semi.rhs_candidates().values()))
     for mag, sup in zip(magnitudes, lhs):
@@ -342,7 +346,7 @@ def volume_pair_seminorms(
     field the same way.  With spatial suprema fixed to ``[-N_box, N_box]^d``
     the large-torus right-hand side should not exceed the small-torus one
     beyond statistical factors: behaviour far from the box cannot influence
-    the localised bound.
+    the localised bound.  The trees keep only the stored times the reports read.
     """
     grid_s = build_grid(d, L, N)
     grid_l = build_grid(d, 2.0 * L, N)
@@ -351,11 +355,14 @@ def volume_pair_seminorms(
 
     white0 = stream.standard_normals()
     n_steps = int(round(1.0 / dt))
-    states = {}
+    n_times = len(store_times(n_steps, store_every, dt))
+    kernels, states = {}, {}
     for tag, grid, w0 in (("small", grid_s, white0[restrict]), ("large", grid_l, white0)):
         prop = LinearPropagator(grid, DEFAULT_M2, dt)
+        kernels[tag] = DyadicKernelFamily(grid, store_dt=dt * store_every)
         states[tag] = _TreeState(prop, compute_c1(grid, DEFAULT_M2),
-                                 prop.apply(w0, prop.stationary_mult), n_steps, store_every, "imex")
+                                 prop.apply(w0, prop.stationary_mult), n_steps, store_every, "imex",
+                                 kernels[tag].read_plan(n_times))
     noise_scale = states["small"].prop.noise_scale
     for k in range(1, n_steps + 1):
         white = stream.standard_normals()
@@ -366,10 +373,8 @@ def volume_pair_seminorms(
     box = BoxRegion((-N_box,) * d, (N_box,) * d)
     out = {}
     for tag, st in states.items():
-        grid = st.prop.grid
-        ens = st.ensemble(compute_c2(grid, DEFAULT_M2))
-        kernels = DyadicKernelFamily(grid, store_dt=dt * store_every)
-        out[tag] = seminorm_report(ens, kernels, kappa, domain=box)
+        ens = st.ensemble(compute_c2(st.prop.grid, DEFAULT_M2))
+        out[tag] = seminorm_report(ens, kernels[tag], kappa, domain=box)
     return out
 
 

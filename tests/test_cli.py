@@ -308,6 +308,19 @@ class TestSuites:
         out = tmp_path / "x"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
 
+    def test_coding_error_in_validation_is_no_config_error(self, tmp_path, monkeypatch, capsys):
+        def broken(self):
+            raise TypeError("broken validation")
+
+        bad = write_config(tmp_path, MINIMAL + "dt = -0.01\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "b")]) == 2
+        assert "config error" in capsys.readouterr().err
+        monkeypatch.setattr(SimConfig, "validate", broken)
+        cfg = write_config(tmp_path, MINIMAL)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" not in err and "broken validation" in err
+
     def test_apriori_suite_two_seeds(self, tmp_path):
         cfg = write_config(
             tmp_path,

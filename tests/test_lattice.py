@@ -53,6 +53,9 @@ class TestBuildGrid:
             build_grid(1, -1.0, 3)
         with pytest.raises(GridError):
             build_grid(3, 64.0, 8)  # site-count budget
+        for L, N in ((1.0, 2000), (1e300, 5)):  # 2.0**N, L * 2^N overflow
+            with pytest.raises(GridError):
+                build_grid(1, L, N)
 
     @given(small_grids)
     def test_dyadic_consistency(self, spec):

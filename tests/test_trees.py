@@ -370,6 +370,57 @@ class TestSeminorm:
         assert cands["2"] == pytest.approx(rep.values["2"] ** (2.0 / (2 * 0.8)))
 
 
+class TestKeptRows:
+    """An ensemble that keeps only the read plan's stored times reports the same bytes."""
+
+    @staticmethod
+    def _pair(grid, dt, n_steps, store_every, time_stride, **kw):
+        kern = DyadicKernelFamily(grid, store_dt=dt * store_every)
+        plan = kern.read_plan(n_steps // store_every, time_stride)
+        full, kept = (evolve_trees(grid, dt=dt, n_steps=n_steps, store_every=store_every,
+                                   keep=keep, **kw) for keep in (None, plan))
+        return kern, plan, full, kept
+
+    def test_wide_time_kernels_bit_identical(self):
+        # the golden wide-time set-up: 17- and 5-tap time kernels pad the base times
+        g = build_grid(2, 1.0, 3)
+        kern, plan, full, kept = self._pair(g, 3e-4, 120, 1, 4, seed=4)
+        assert kern.time_pad(0) > 0 and len(plan) < full.n_times
+        assert np.array_equal(kept.times, full.times)
+        for key, series in kept.stored.items():
+            assert np.array_equal(series, full.stored[key][plan]), key
+        for box in (None, BoxRegion((-0.3, -0.2), (0.25, 0.4))):
+            assert (seminorm_report(kept, kern, 0.2, domain=box).values
+                    == seminorm_report(full, kern, 0.2, domain=box).values)
+
+    def test_sharp_kernels_keep_every_stride_th_time(self):
+        g = build_grid(2, 1.0, 3)
+        kern, plan, full, kept = self._pair(g, 2e-3, 100, 4, 4, seed=6)
+        assert np.array_equal(plan, np.arange(0, 25, 4))
+        assert len(kept.stored["30"]) == 7
+        assert (seminorm_report(kept, kern, 0.2, time_stride=4).values
+                == seminorm_report(full, kern, 0.2, time_stride=4).values)
+
+    def test_time_outside_the_plan_raises(self):
+        g = build_grid(2, 1.0, 3)
+        kern, plan, _, kept = self._pair(g, 2e-3, 100, 4, 4, seed=6)
+        with pytest.raises(ValueError, match="not kept"):
+            kept.rows(np.array([1]))
+        with pytest.raises(ValueError, match="not kept"):
+            holder_seminorm_one(kept, 0.2, time_stride=1)
+        with pytest.raises(ValueError, match="not kept"):
+            _profiles(kept, kern, 0.2, ("2",), time_stride=2)
+        with pytest.raises(ValueError, match="not kept"):
+            kern.convolve(kept.stored["2"], 1, n_times=kept.n_times, kept=kept.kept)
+
+
+    def test_keep_outside_the_store_grid_rejected(self):
+        g = build_grid(1, 1.0, 3)
+        for keep in ([-1, 2], [2, 8]):  # 16 steps stored every 2nd: stored times 0..7
+            with pytest.raises(ValueError, match="must lie in"):
+                evolve_trees(g, dt=0.05, n_steps=16, store_every=2, keep=np.array(keep))
+
+
 class TestExponentTable:
     def test_degree_arithmetic(self):
         # degrees multiply under products and gain 2 per heat integration

@@ -5,6 +5,7 @@ import pytest
 
 from phi4lattice.dynamics import BlowUpError, SimConfig
 from phi4lattice.lattice import Field, GridError, build_grid
+from phi4lattice import trees, verify
 from phi4lattice.trees import evolve_trees, evolve_with_chain
 from phi4lattice.verify import (
     BoundReport,
@@ -94,11 +95,35 @@ class TestAprioriBound:
             with pytest.raises(ValueError, match="store_every"):
                 call()
 
-    def test_empty_window_rejected(self):
-        # with R = 0.9 the only stored time, 0.6, lies before the window t >= 0.81
+    def test_empty_window_rejected(self, monkeypatch):
+        # with R = 0.9 the only stored time, 0.6, lies before the window t >= 0.81;
+        # the store grid is known up front, so no chain step runs before the error
+        def no_step(*args):
+            raise AssertionError("a chain step ran")
+
+        monkeypatch.setattr(trees, "step", no_step)
         with pytest.raises(ValueError, match="window"):
             check_apriori(d=1, N=3, dt=0.01, R=0.9, magnitudes=(1.0,), seeds=(0,),
                           store_every=60)
+
+    def test_volume_pair_keeps_only_read_rows(self, monkeypatch):
+        # 500 steps stored every 4th: 125 stored times; the 0.008 store interval exceeds
+        # every time-kernel half-width, so the reports read rows 0, 4, ..., 124 alone
+        kept = {}
+
+        original = verify.seminorm_report
+
+        def report(ens, *args, **kwargs):
+            kept[ens.grid.sites_per_axis] = ens
+            return original(ens, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "seminorm_report", report)
+        volume_pair_seminorms(0, d=2, N=3, dt=2e-3)
+        assert sorted(kept) == [16, 32]
+        for ens in kept.values():
+            assert ens.n_times == 125
+            assert np.array_equal(ens.kept, np.arange(0, 125, 4))
+            assert {k: len(v) for k, v in ens.stored.items()} == dict.fromkeys(ens.stored, 32)
 
     def test_coming_down_spread(self):
         res = coming_down_check(d=1, L=1.0, N=4, dt=1e-3, t_snapshot=0.25,
