@@ -444,6 +444,7 @@ def cmd_trees(args) -> int:
     out_dir = OutputDir(args.out, values)
     grid = build_grid(values["grid.d"], values["grid.L"], values["grid.N"])
     n_steps, store_every = values["trees.n_steps"], values["trees.store_every"]
+    n_times = len(store_times(n_steps, store_every, values["dt"]))  # rejects store_every < 1
     kernels = DyadicKernelFamily(grid, store_dt=values["dt"] * store_every)
     ens = evolve_trees(
         grid,
@@ -453,7 +454,7 @@ def cmd_trees(args) -> int:
         seed=values["seed"],
         mode=values["trees.mode"],
         store_every=store_every,
-        keep=kernels.read_plan(len(store_times(n_steps, store_every, values["dt"]))),
+        keep=kernels.read_plan(n_times),
     )
     kappa = values["norm.kappa"]
     report = seminorm_report(ens, kernels, kappa)

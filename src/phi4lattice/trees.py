@@ -135,13 +135,12 @@ class TreeEnsemble:
     def n_times(self) -> int:
         return len(self.times)
 
-    def rows(self, idx: np.ndarray) -> np.ndarray:
-        """Rows of the series that hold the stored-time indices ``idx``."""
-        return _rows(self.kept, idx)
-
 
 def _rows(kept: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Positions of the stored-time indices ``idx`` in the sorted ``kept``; raises on any not kept."""
+    """Rows that hold the stored-time indices ``idx``, given the sorted ``kept`` of each row.
+
+    Raises on an index that was not kept.
+    """
     missing = np.setdiff1d(idx, kept)
     if len(missing):
         raise ValueError(f"stored times {missing.tolist()} were not kept")
@@ -388,7 +387,7 @@ class DyadicKernelFamily:
         return np.arange(pad, n_times - pad, time_stride)
 
     def _taps(self, idx: int, n_times: int, time_stride: int) -> np.ndarray:
-        """``out[:, m]``: the stored time of tap ``m`` of the scale-``idx`` kernel at each base time."""
+        """``out[:, m]``: stored time of tap ``m`` of scale ``idx``'s kernel at each base time."""
         pad = self.time_pad(idx)
         return self.base_times(idx, n_times, time_stride)[:, None] + np.arange(-pad, pad + 1)
 
@@ -516,7 +515,7 @@ def _profiles(ens: TreeEnsemble, kernels: DyadicKernelFamily, kappa: float, taus
                 values = values - ens.c2
             if tree.recentred:
                 first, *rest = tree.factors
-                base = ens.stored[first][np.ix_(ens.rows(t), *sites)]
+                base = ens.stored[first][np.ix_(_rows(ens.kept, t), *sites)]
                 values = values - (base * averages[tuple(rest)][idx] if rest else base)
             out[tau][idx] = lam ** seminorm_exponent(tau, kappa) * np.max(np.abs(values))
     return out
@@ -594,5 +593,5 @@ def holder_seminorm_one(
     """``sup_t || tree1(t) ||_{C^{-1/2-kappa}}`` over every ``time_stride``-th stored time."""
     alpha = -0.5 - kappa
     norms = [holder_norm_neg(ens.stored["1"][r], ens.grid, alpha, domain)
-             for r in ens.rows(np.arange(0, ens.n_times, time_stride))]
+             for r in _rows(ens.kept, np.arange(0, ens.n_times, time_stride))]
     return float(np.max(norms, initial=0.0))

@@ -303,6 +303,11 @@ class TestSuites:
         assert main(["stats", "--suite", "density", "--config", str(cfg),
                      "--out", str(tmp_path / "s")]) == 2
 
+    def test_trees_store_every_below_one_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL + "trees.n_steps = 10\ntrees.store_every = 0\n")
+        assert main(["trees", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 1
+        assert "store_every must be >= 1" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "bogus.key = 1\n")
         out = tmp_path / "x"

@@ -403,9 +403,7 @@ class TestKeptRows:
 
     def test_time_outside_the_plan_raises(self):
         g = build_grid(2, 1.0, 3)
-        kern, plan, _, kept = self._pair(g, 2e-3, 100, 4, 4, seed=6)
-        with pytest.raises(ValueError, match="not kept"):
-            kept.rows(np.array([1]))
+        kern, _, _, kept = self._pair(g, 2e-3, 100, 4, 4, seed=6)
         with pytest.raises(ValueError, match="not kept"):
             holder_seminorm_one(kept, 0.2, time_stride=1)
         with pytest.raises(ValueError, match="not kept"):
